@@ -4,8 +4,10 @@
 # whole suite — mmr_overload included — again under AddressSanitizer +
 # UndefinedBehaviorSanitizer (SANITIZE applies tree-wide).
 # Usage: scripts/check.sh [--perf] [jobs]
-#   --perf   additionally run the perf_baseline smoke sweep and validate the
-#            emitted BENCH_perf.json schema with scripts/bench_compare.py
+#   --perf   additionally run the perf_baseline smoke sweep, validate the
+#            emitted BENCH_perf.json schema with scripts/bench_compare.py,
+#            and run the benchmark's smoke test (every perfbench workload,
+#            tiny)
 set -euo pipefail
 
 RUN_PERF=0
@@ -63,6 +65,9 @@ if [[ "${RUN_PERF}" == "1" ]]; then
   ./build/bench/arbiter_micro \
     --benchmark_filter='/(16|32|64|128)$' \
     --benchmark_min_time=0.05
+  echo
+  echo "=== benchmark smoke (every perfbench workload, tiny) ==="
+  python3 perfbench/smoke_test.py
 fi
 
 echo

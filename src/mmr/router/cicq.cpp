@@ -11,7 +11,7 @@ CicqFabric::CicqFabric(std::uint32_t ports, std::uint32_t vcs,
                        const QdSpec& spec, Cycle credit_latency)
     : ports_(ports),
       spec_(spec),
-      xp_(static_cast<std::size_t>(ports) * ports),
+      xp_(ports * ports),
       xp_vc_count_(static_cast<std::size_t>(ports) * vcs, 0),
       input_ptr_(ports, 0),
       output_ptr_(ports, 0),
@@ -43,10 +43,9 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
   for (std::uint32_t output = 0; output < ports_; ++output) {
     for (std::uint32_t k = 0; k < ports_; ++k) {
       const std::uint32_t input = (output_ptr_[output] + k) % ports_;
-      std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
-      if (fifo.empty()) continue;
-      VoqMemory::Slot slot = fifo.front();
-      fifo.pop_front();
+      const std::uint32_t xp = xp_index(input, output);
+      if (xp_.empty(xp)) continue;
+      const VoqMemory::Slot slot = xp_.pop_front(xp);
       std::uint32_t& residency =
           xp_vc_count_[static_cast<std::size_t>(input) * vcs + slot.vc];
       MMR_ASSERT(residency > 0);
@@ -57,7 +56,7 @@ void CicqFabric::drain_outputs(Cycle now, std::vector<Drained>& out,
       out.push_back({input, output, slot.vc, slot.flit});
       MMR_TRACE_EVENT(trace::xp_grant_event(now, input, output, slot.vc,
                                             slot.flit.connection,
-                                            slot.flit.seq, fifo.size()));
+                                            slot.flit.seq, xp_.size(xp)));
       output_ptr_[output] = (input + 1) % ports_;
       break;
     }
@@ -81,17 +80,17 @@ void CicqFabric::fill_crosspoints(Cycle now, std::vector<VoqMemory>& voqs,
       had_work = true;
       if (!credits_[input].has_credit(output)) continue;
       credits_[input].consume(output);
-      VoqMemory::Slot slot = voq.pop(output);
-      std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
-      MMR_ASSERT_MSG(fifo.size() < spec_.crosspoint_flits,
+      const VoqMemory::Slot slot = voq.pop(output);
+      const std::uint32_t xp = xp_index(input, output);
+      MMR_ASSERT_MSG(xp_.size(xp) < spec_.crosspoint_flits,
                      "crosspoint overflow: credit protocol was violated");
-      fifo.push_back(slot);
+      xp_.push_back(xp, slot);
       ++xp_vc_count_[static_cast<std::size_t>(input) * vcs + slot.vc];
       ++total_;
       ++transfers_;
       MMR_TRACE_EVENT(trace::xp_enqueue_event(now, input, output, slot.vc,
                                               slot.flit.connection,
-                                              slot.flit.seq, fifo.size()));
+                                              slot.flit.seq, xp_.size(xp)));
       input_ptr_[input] = (output + 1) % ports_;
       sent = true;
       break;
@@ -113,7 +112,7 @@ void CicqFabric::update_stabilization(const std::vector<VoqMemory>& voqs) {
           ++burst_activations_;
         }
       } else if (voqs[input].empty(output) &&
-                 xp_[xp_index(input, output)].empty() &&
+                 xp_.empty(xp_index(input, output)) &&
                  credits_[input].credits(output) == spec_.crosspoint_flits) {
         // The burst fully drained and every credit made it home: park the
         // extra depth again so idle crosspoints return to the base regime.
@@ -128,7 +127,7 @@ void CicqFabric::update_stabilization(const std::vector<VoqMemory>& voqs) {
 std::uint32_t CicqFabric::xp_occupancy(std::uint32_t input,
                                        std::uint32_t output) const {
   MMR_ASSERT(input < ports_ && output < ports_);
-  return static_cast<std::uint32_t>(xp_[xp_index(input, output)].size());
+  return xp_.size(xp_index(input, output));
 }
 
 std::uint32_t CicqFabric::vc_occupancy(std::uint32_t input,
@@ -152,19 +151,18 @@ void CicqFabric::check_invariants() const {
   for (std::uint32_t input = 0; input < ports_; ++input) {
     credits_[input].check_invariants();
     for (std::uint32_t output = 0; output < ports_; ++output) {
-      const std::deque<VoqMemory::Slot>& fifo = xp_[xp_index(input, output)];
-      MMR_ASSERT(fifo.size() <= spec_.crosspoint_flits);
-      counted += fifo.size();
-      for (const VoqMemory::Slot& slot : fifo) {
+      const std::uint32_t xp = xp_index(input, output);
+      MMR_ASSERT(xp_.size(xp) <= spec_.crosspoint_flits);
+      counted += xp_.size(xp);
+      xp_.for_each(xp, [&](const VoqMemory::Slot& slot) {
         ++per_vc[static_cast<std::size_t>(input) * vcs + slot.vc];
-      }
+      });
       // Credit conservation per crosspoint: available + travelling back +
       // occupying a buffer slot always equals the active allotment.
       const std::uint32_t allotment =
           burst_[xp_index(input, output)] != 0 ? spec_.crosspoint_flits : 1;
       MMR_ASSERT(credits_[input].credits(output) +
-                     credits_[input].pending_for(output) +
-                     static_cast<std::uint32_t>(fifo.size()) ==
+                     credits_[input].pending_for(output) + xp_.size(xp) ==
                  allotment);
     }
   }
@@ -175,15 +173,7 @@ void CicqFabric::check_invariants() const {
 }
 
 void CicqFabric::snap(snapshot::Walker& w) {
-  snapshot::walk_vector(w, xp_, [](snapshot::Walker& v,
-                                   std::deque<VoqMemory::Slot>& q) {
-    snapshot::walk_deque(v, q, [](snapshot::Walker& u,
-                                  VoqMemory::Slot& slot) {
-      snap_flit(u, slot.flit);
-      snapshot::value(u, slot.arrived);
-      snapshot::value(u, slot.vc);
-    });
-  });
+  xp_.snap(w, snap_voq_slot);
   snapshot::walk_vector_pod(w, xp_vc_count_);
   for (CreditManager& credits : credits_) credits.snap(w);
   snapshot::walk_vector_pod(w, input_ptr_);

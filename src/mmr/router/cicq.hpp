@@ -18,11 +18,11 @@
 // once the burst fully drains.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "mmr/router/credits.hpp"
+#include "mmr/router/fifo_pool.hpp"
 #include "mmr/router/qd_spec.hpp"
 #include "mmr/router/voq.hpp"
 #include "mmr/sim/time.hpp"
@@ -98,14 +98,14 @@ class CicqFabric {
   void snap(snapshot::Walker& w);
 
  private:
-  [[nodiscard]] std::size_t xp_index(std::uint32_t input,
-                                     std::uint32_t output) const {
-    return static_cast<std::size_t>(input) * ports_ + output;
+  [[nodiscard]] std::uint32_t xp_index(std::uint32_t input,
+                                       std::uint32_t output) const {
+    return input * ports_ + output;
   }
 
   std::uint32_t ports_;
   QdSpec spec_;
-  std::vector<std::deque<VoqMemory::Slot>> xp_;  ///< (input, output) FIFOs
+  FifoPool<VoqMemory::Slot> xp_;                 ///< (input, output) FIFOs
   std::vector<std::uint32_t> xp_vc_count_;       ///< (input, vc) residency
   std::vector<CreditManager> credits_;           ///< per input, over outputs
   std::vector<std::uint32_t> input_ptr_;   ///< RR: next output per input

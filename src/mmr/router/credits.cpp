@@ -32,16 +32,6 @@ void CreditManager::release(std::uint32_t vc, Cycle now) {
   pending_.push_back({now + return_latency_, vc});
 }
 
-void CreditManager::tick(Cycle now) {
-  while (!pending_.empty() && pending_.front().ready <= now) {
-    const std::uint32_t vc = pending_.front().vc;
-    pending_.pop_front();
-    MMR_ASSERT_MSG(credits_[vc] < credits_per_vc_,
-                   "credit returned beyond buffer capacity");
-    ++credits_[vc];
-  }
-}
-
 std::uint32_t CreditManager::pending_for(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
   std::uint32_t count = 0;

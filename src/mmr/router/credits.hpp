@@ -8,6 +8,7 @@
 #include <deque>
 #include <vector>
 
+#include "mmr/sim/assert.hpp"
 #include "mmr/sim/time.hpp"
 
 namespace mmr {
@@ -38,7 +39,20 @@ class CreditManager {
 
   /// Applies every credit whose return has propagated by `now`.  Must be
   /// called with non-decreasing `now`.
-  void tick(Cycle now);
+  void tick(Cycle now) { tick(now, [](std::uint32_t) {}); }
+
+  /// tick(), calling `on_first_credit(vc)` for each VC whose count goes
+  /// from 0 to 1 (the NIC's ready set only changes on that edge).
+  template <typename Fn>
+  void tick(Cycle now, Fn&& on_first_credit) {
+    while (!pending_.empty() && pending_.front().ready <= now) {
+      const std::uint32_t vc = pending_.front().vc;
+      pending_.pop_front();
+      MMR_ASSERT_MSG(credits_[vc] < credits_per_vc_,
+                     "credit returned beyond buffer capacity");
+      if (credits_[vc]++ == 0) on_first_credit(vc);
+    }
+  }
 
   [[nodiscard]] std::uint32_t in_flight() const {
     return static_cast<std::uint32_t>(pending_.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/config.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/trace/event.hpp"
 #include "mmr/trace/tracer.hpp"
@@ -55,8 +56,9 @@ void LinkScheduler::select(const VirtualChannelMemory& vcm, Cycle now,
   };
   // Top-L selection by (priority desc, older-first, vc asc): a small sorted
   // insertion buffer beats sorting the whole occupied list for L << VCs.
-  Entry best[64];
-  MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
+  Entry best[kMaxCandidateLevels];
+  MMR_ASSERT_MSG(levels_ <= kMaxCandidateLevels,
+                 "candidate levels beyond selection buffer");
   std::uint32_t filled = 0;
 
   auto better = [](const Entry& a, const Entry& b) {

@@ -1,41 +1,59 @@
 #include "mmr/router/nic.hpp"
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/bits.hpp"
 #include "mmr/snapshot/walker.hpp"
 
 namespace mmr {
 
 Nic::Nic(std::uint32_t vcs, std::uint32_t credits_per_vc, Cycle credit_latency)
-    : queues_(vcs), credits_(vcs, credits_per_vc, credit_latency) {
+    : queues_(vcs),
+      credits_(vcs, credits_per_vc, credit_latency),
+      ready_(bit_words(vcs), 0) {
   MMR_ASSERT(vcs > 0);
+}
+
+void Nic::update_ready(std::uint32_t vc) {
+  if (sendable(vc)) {
+    bits_set(ready_.data(), vc);
+  } else {
+    bits_clear(ready_.data(), vc);
+  }
 }
 
 void Nic::deposit(std::uint32_t vc, const Flit& flit) {
   MMR_ASSERT(vc < vcs());
-  if (queues_[vc].empty()) ++nonempty_;
+  const bool was_empty = queues_[vc].empty();
   queues_[vc].push_back(flit);
   ++total_queued_;
+  if (was_empty) {
+    ++nonempty_;
+    update_ready(vc);
+  }
 }
 
 std::optional<LinkTransfer> Nic::select_and_send(Cycle now) {
-  credits_.tick(now);
+  credits_.tick(now, [this](std::uint32_t vc) {
+    if (!queues_[vc].empty()) bits_set(ready_.data(), vc);
+  });
   if (paused_ || nonempty_ == 0) return std::nullopt;
-  const std::uint32_t n = vcs();
-  for (std::uint32_t k = 0; k < n; ++k) {
-    const std::uint32_t vc = (rr_next_ + k) % n;
-    if (queues_[vc].empty() || !credits_.has_credit(vc)) continue;
-    credits_.consume(vc);
-    LinkTransfer transfer;
-    transfer.flit = queues_[vc].front();
-    transfer.vc = vc;
-    queues_[vc].pop_front();
-    if (queues_[vc].empty()) --nonempty_;
-    ++total_sent_;
-    // Demand-driven round-robin: resume after the connection just served.
-    rr_next_ = (vc + 1) % n;
-    return transfer;
-  }
-  return std::nullopt;
+  // Demand-driven round-robin: the first VC at or after the cursor with a
+  // flit and a credit.
+  const std::int32_t pick = bits_first_cyclic(
+      ready_.data(), static_cast<std::uint32_t>(ready_.size()), rr_next_);
+  if (pick < 0) return std::nullopt;
+  const auto vc = static_cast<std::uint32_t>(pick);
+  credits_.consume(vc);
+  LinkTransfer transfer;
+  transfer.flit = queues_[vc].front();
+  transfer.vc = vc;
+  queues_[vc].pop_front();
+  if (queues_[vc].empty()) --nonempty_;
+  update_ready(vc);
+  ++total_sent_;
+  // Resume after the connection just served.
+  rr_next_ = vc + 1 == vcs() ? 0 : vc + 1;
+  return transfer;
 }
 
 void Nic::move_queue(std::uint32_t from_vc, std::uint32_t to_vc) {
@@ -46,6 +64,8 @@ void Nic::move_queue(std::uint32_t from_vc, std::uint32_t to_vc) {
   for (const Flit& flit : queues_[from_vc]) queues_[to_vc].push_back(flit);
   queues_[from_vc].clear();
   --nonempty_;
+  update_ready(from_vc);
+  update_ready(to_vc);
 }
 
 std::size_t Nic::queued(std::uint32_t vc) const {
@@ -62,6 +82,10 @@ void Nic::check_invariants() const {
   }
   MMR_ASSERT(counted == total_queued_ - total_sent_);
   MMR_ASSERT(nonempty == nonempty_);
+  for (std::uint32_t vc = 0; vc < vcs(); ++vc) {
+    MMR_ASSERT_MSG(bits_test(ready_.data(), vc) == sendable(vc),
+                   "NIC ready set out of step with queues and credits");
+  }
   credits_.check_invariants();
 }
 
@@ -76,6 +100,12 @@ void Nic::snap(snapshot::Walker& w) {
   snapshot::value(w, total_sent_);
   snapshot::value(w, nonempty_);
   snapshot::value(w, paused_);
+  if (w.loading()) {
+    if (rr_next_ >= vcs())
+      throw snapshot::SnapshotError("NIC round-robin cursor beyond its VCs");
+    ready_.assign(bit_words(vcs()), 0);
+    for (std::uint32_t vc = 0; vc < vcs(); ++vc) update_ready(vc);
+  }
 }
 
 }  // namespace mmr

@@ -5,6 +5,12 @@
 // cycle.  The paper shows this simple policy suffices because the router's
 // scheduler, small buffers and flow control make the NIC adapt to the
 // router's needs.
+//
+// The round-robin search runs word-parallel: a bit row marks the VCs that
+// hold both a flit and a credit, and the next VC is the first set bit at or
+// after the cursor (the same pointer search the bitset arbiters use).  The
+// host queues stay std::deque: they are unbounded, and a pooled FIFO that
+// doubles to its peak would keep a saturated run's backlog allocated.
 #pragma once
 
 #include <deque>
@@ -64,12 +70,20 @@ class Nic {
   void check_invariants() const;
 
   /// Checkpoint walk: per-VC queues (flit payloads included), credit state,
-  /// round-robin cursor, counters, pause flag.
+  /// round-robin cursor, counters, pause flag.  The ready set is derived
+  /// state: not walked, rebuilt on load.
   void snap(snapshot::Walker& w);
 
  private:
+  /// True when `vc` has a queued flit and a credit (its ready bit's value).
+  [[nodiscard]] bool sendable(std::uint32_t vc) const {
+    return !queues_[vc].empty() && credits_.has_credit(vc);
+  }
+  void update_ready(std::uint32_t vc);
+
   std::vector<std::deque<Flit>> queues_;
   CreditManager credits_;
+  std::vector<std::uint64_t> ready_;  ///< bit row: sendable VCs
   std::uint32_t rr_next_ = 0;  ///< round-robin cursor
   std::uint64_t total_queued_ = 0;
   std::uint64_t total_sent_ = 0;

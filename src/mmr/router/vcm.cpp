@@ -9,7 +9,7 @@ VirtualChannelMemory::VirtualChannelMemory(std::uint32_t vcs,
                                            std::uint32_t capacity_per_vc,
                                            std::uint32_t banks)
     : capacity_(capacity_per_vc),
-      queues_(vcs),
+      fifos_(vcs),
       pushes_per_vc_(vcs, 0),
       bank_used_(banks, 0),
       occupied_pos_(vcs, -1) {
@@ -20,7 +20,7 @@ VirtualChannelMemory::VirtualChannelMemory(std::uint32_t vcs,
 
 bool VirtualChannelMemory::can_accept(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
-  return queues_[vc].size() < capacity_;
+  return fifos_.size(vc) < capacity_;
 }
 
 void VirtualChannelMemory::push(std::uint32_t vc, const Flit& flit,
@@ -35,45 +35,41 @@ void VirtualChannelMemory::push(std::uint32_t vc, const Flit& flit,
       (vc + pushes_per_vc_[vc]) % bank_used_.size());
   ++pushes_per_vc_[vc];
   ++bank_used_[slot.bank];
-  if (queues_[vc].empty()) {
+  if (fifos_.empty(vc)) {
     occupied_pos_[vc] = static_cast<std::int32_t>(occupied_.size());
     occupied_.push_back(vc);
   }
-  queues_[vc].push_back(slot);
+  fifos_.push_back(vc, slot);
   ++total_;
 }
 
 bool VirtualChannelMemory::empty(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
-  return queues_[vc].empty();
+  return fifos_.empty(vc);
 }
 
 std::uint32_t VirtualChannelMemory::occupancy(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
-  return static_cast<std::uint32_t>(queues_[vc].size());
+  return fifos_.size(vc);
 }
 
 const Flit& VirtualChannelMemory::head(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
-  MMR_ASSERT(!queues_[vc].empty());
-  return queues_[vc].front().flit;
+  return fifos_.front(vc).flit;
 }
 
 Cycle VirtualChannelMemory::head_arrival(std::uint32_t vc) const {
   MMR_ASSERT(vc < vcs());
-  MMR_ASSERT(!queues_[vc].empty());
-  return queues_[vc].front().arrived;
+  return fifos_.front(vc).arrived;
 }
 
 Flit VirtualChannelMemory::pop(std::uint32_t vc) {
   MMR_ASSERT(vc < vcs());
-  MMR_ASSERT(!queues_[vc].empty());
-  Slot slot = queues_[vc].front();
-  queues_[vc].pop_front();
+  const Slot slot = fifos_.pop_front(vc);
   MMR_ASSERT(bank_used_[slot.bank] > 0);
   --bank_used_[slot.bank];
   --total_;
-  if (queues_[vc].empty()) {
+  if (fifos_.empty(vc)) {
     // Swap-remove from the occupied list.
     const auto pos = static_cast<std::size_t>(occupied_pos_[vc]);
     const std::uint32_t moved = occupied_.back();
@@ -90,10 +86,10 @@ void VirtualChannelMemory::check_invariants() const {
   std::uint64_t bank_total = 0;
   for (std::uint32_t used : bank_used_) bank_total += used;
   for (std::uint32_t vc = 0; vc < vcs(); ++vc) {
-    counted += queues_[vc].size();
-    MMR_ASSERT(queues_[vc].size() <= capacity_);
+    counted += fifos_.size(vc);
+    MMR_ASSERT(fifos_.size(vc) <= capacity_);
     const bool listed = occupied_pos_[vc] != -1;
-    MMR_ASSERT(listed == !queues_[vc].empty());
+    MMR_ASSERT(listed == !fifos_.empty(vc));
     if (listed) {
       const auto pos = static_cast<std::size_t>(occupied_pos_[vc]);
       MMR_ASSERT(pos < occupied_.size());
@@ -106,13 +102,10 @@ void VirtualChannelMemory::check_invariants() const {
 }
 
 void VirtualChannelMemory::snap(snapshot::Walker& w) {
-  snapshot::walk_vector(w, queues_, [](snapshot::Walker& v,
-                                       std::deque<Slot>& q) {
-    snapshot::walk_deque(v, q, [](snapshot::Walker& u, Slot& slot) {
-      snap_flit(u, slot.flit);
-      snapshot::value(u, slot.arrived);
-      snapshot::value(u, slot.bank);
-    });
+  fifos_.snap(w, [](snapshot::Walker& v, Slot& slot) {
+    snap_flit(v, slot.flit);
+    snapshot::value(v, slot.arrived);
+    snapshot::value(v, slot.bank);
   });
   snapshot::walk_vector_pod(w, pushes_per_vc_);
   snapshot::walk_vector_pod(w, bank_used_);

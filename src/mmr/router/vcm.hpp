@@ -3,12 +3,12 @@
 // RAM banks behind an address generator.  The interleave is functionally
 // transparent (the address generator guarantees conflict-free access for
 // one enqueue + one dequeue per cycle); we model the per-bank occupancy for
-// inspection but storage behaves as per-VC FIFOs.
+// inspection but storage behaves as per-VC FIFOs, pooled per port.
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "mmr/router/fifo_pool.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -23,9 +23,7 @@ class VirtualChannelMemory {
   VirtualChannelMemory(std::uint32_t vcs, std::uint32_t capacity_per_vc,
                        std::uint32_t banks = 4);
 
-  [[nodiscard]] std::uint32_t vcs() const {
-    return static_cast<std::uint32_t>(queues_.size());
-  }
+  [[nodiscard]] std::uint32_t vcs() const { return fifos_.fifos(); }
   [[nodiscard]] std::uint32_t capacity_per_vc() const { return capacity_; }
 
   [[nodiscard]] bool can_accept(std::uint32_t vc) const;
@@ -66,7 +64,7 @@ class VirtualChannelMemory {
   };
 
   std::uint32_t capacity_;
-  std::vector<std::deque<Slot>> queues_;
+  FifoPool<Slot> fifos_;  ///< one FIFO per VC
   std::vector<std::uint64_t> pushes_per_vc_;  ///< drives bank interleave
   std::vector<std::uint32_t> bank_used_;
   std::vector<std::uint32_t> occupied_;

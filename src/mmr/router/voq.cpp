@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/config.hpp"
 #include "mmr/snapshot/walker.hpp"
 #include "mmr/trace/event.hpp"
 #include "mmr/trace/tracer.hpp"
@@ -12,7 +13,7 @@ namespace mmr {
 VoqMemory::VoqMemory(std::uint32_t outputs, std::uint32_t vcs,
                      std::uint32_t capacity_per_vc)
     : capacity_(capacity_per_vc),
-      queues_(outputs),
+      fifos_(outputs),
       vc_count_(vcs, 0),
       occupied_pos_(outputs, -1) {
   MMR_ASSERT(outputs > 0);
@@ -31,40 +32,37 @@ void VoqMemory::push(std::uint32_t output, std::uint32_t vc, const Flit& flit,
   MMR_ASSERT(vc < vcs());
   MMR_ASSERT_MSG(can_accept(vc),
                  "VOQ overflow: credit flow control was violated");
-  if (queues_[output].empty()) {
+  if (fifos_.empty(output)) {
     occupied_pos_[output] = static_cast<std::int32_t>(occupied_.size());
     occupied_.push_back(output);
   }
-  queues_[output].push_back({flit, now, vc});
+  fifos_.push_back(output, {flit, now, vc});
   ++vc_count_[vc];
   ++total_;
 }
 
 bool VoqMemory::empty(std::uint32_t output) const {
   MMR_ASSERT(output < outputs());
-  return queues_[output].empty();
+  return fifos_.empty(output);
 }
 
 std::uint32_t VoqMemory::occupancy(std::uint32_t output) const {
   MMR_ASSERT(output < outputs());
-  return static_cast<std::uint32_t>(queues_[output].size());
+  return fifos_.size(output);
 }
 
 const VoqMemory::Slot& VoqMemory::head(std::uint32_t output) const {
   MMR_ASSERT(output < outputs());
-  MMR_ASSERT(!queues_[output].empty());
-  return queues_[output].front();
+  return fifos_.front(output);
 }
 
 VoqMemory::Slot VoqMemory::pop(std::uint32_t output) {
   MMR_ASSERT(output < outputs());
-  MMR_ASSERT(!queues_[output].empty());
-  Slot slot = queues_[output].front();
-  queues_[output].pop_front();
+  const Slot slot = fifos_.pop_front(output);
   MMR_ASSERT(vc_count_[slot.vc] > 0);
   --vc_count_[slot.vc];
   --total_;
-  if (queues_[output].empty()) {
+  if (fifos_.empty(output)) {
     const auto pos = static_cast<std::size_t>(occupied_pos_[output]);
     const std::uint32_t moved = occupied_.back();
     occupied_[pos] = moved;
@@ -84,10 +82,10 @@ void VoqMemory::check_invariants() const {
   std::uint64_t counted = 0;
   std::vector<std::uint32_t> per_vc(vc_count_.size(), 0);
   for (std::uint32_t output = 0; output < outputs(); ++output) {
-    counted += queues_[output].size();
-    for (const Slot& slot : queues_[output]) ++per_vc[slot.vc];
+    counted += fifos_.size(output);
+    fifos_.for_each(output, [&per_vc](const Slot& slot) { ++per_vc[slot.vc]; });
     const bool listed = occupied_pos_[output] != -1;
-    MMR_ASSERT(listed == !queues_[output].empty());
+    MMR_ASSERT(listed == !fifos_.empty(output));
     if (listed) {
       const auto pos = static_cast<std::size_t>(occupied_pos_[output]);
       MMR_ASSERT(pos < occupied_.size());
@@ -102,15 +100,14 @@ void VoqMemory::check_invariants() const {
   MMR_ASSERT(occupied_.size() <= outputs());
 }
 
+void snap_voq_slot(snapshot::Walker& w, VoqMemory::Slot& slot) {
+  snap_flit(w, slot.flit);
+  snapshot::value(w, slot.arrived);
+  snapshot::value(w, slot.vc);
+}
+
 void VoqMemory::snap(snapshot::Walker& w) {
-  snapshot::walk_vector(w, queues_, [](snapshot::Walker& v,
-                                       std::deque<Slot>& q) {
-    snapshot::walk_deque(v, q, [](snapshot::Walker& u, Slot& slot) {
-      snap_flit(u, slot.flit);
-      snapshot::value(u, slot.arrived);
-      snapshot::value(u, slot.vc);
-    });
-  });
+  fifos_.snap(w, snap_voq_slot);
   snapshot::walk_vector_pod(w, vc_count_);
   snapshot::walk_vector_pod(w, occupied_);
   snapshot::walk_vector_pod(w, occupied_pos_);
@@ -157,8 +154,9 @@ void VoqScheduler::select(const VoqMemory& voq, Cycle now, CandidateSet& out,
   };
   // Top-L selection with the link scheduler's comparator: the head flit's
   // VC breaks ties exactly as it would competing from a per-VC queue.
-  Entry best[64];
-  MMR_ASSERT_MSG(levels_ <= 64, "candidate levels beyond selection buffer");
+  Entry best[kMaxCandidateLevels];
+  MMR_ASSERT_MSG(levels_ <= kMaxCandidateLevels,
+                 "candidate levels beyond selection buffer");
   std::uint32_t filled = 0;
 
   auto better = [](const Entry& a, const Entry& b) {

@@ -6,12 +6,12 @@
 // the link never holds more of them than its credit allowance.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "mmr/arbiter/candidate.hpp"
 #include "mmr/qos/priority.hpp"
+#include "mmr/router/fifo_pool.hpp"
 #include "mmr/sim/time.hpp"
 #include "mmr/traffic/flit.hpp"
 
@@ -32,9 +32,7 @@ class VoqMemory {
     std::uint32_t vc;
   };
 
-  [[nodiscard]] std::uint32_t outputs() const {
-    return static_cast<std::uint32_t>(queues_.size());
-  }
+  [[nodiscard]] std::uint32_t outputs() const { return fifos_.fifos(); }
   [[nodiscard]] std::uint32_t vcs() const {
     return static_cast<std::uint32_t>(vc_count_.size());
   }
@@ -68,12 +66,15 @@ class VoqMemory {
 
  private:
   std::uint32_t capacity_;
-  std::vector<std::deque<Slot>> queues_;    ///< one FIFO per output
+  FifoPool<Slot> fifos_;                    ///< one FIFO per output
   std::vector<std::uint32_t> vc_count_;     ///< flits held per VC
   std::vector<std::uint32_t> occupied_;
   std::vector<std::int32_t> occupied_pos_;  ///< output -> index in occupied_
   std::uint64_t total_ = 0;
 };
+
+/// Checkpoint walk of one VOQ / crosspoint slot.
+void snap_voq_slot(snapshot::Walker& w, VoqMemory::Slot& slot);
 
 /// Candidate selection over VOQs: the link scheduler's top-L policy
 /// (priority descending, older head first, lower VC breaks ties) applied to

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cmath>
 #include <stdexcept>
 #include <string_view>
@@ -43,6 +44,8 @@ void SimConfig::validate() const {
   MMR_ASSERT_MSG(candidate_levels >= 1, "need >= 1 candidate level");
   MMR_ASSERT_MSG(candidate_levels <= vcs_per_link,
                  "more candidate levels than VCs is meaningless");
+  MMR_ASSERT_MSG(candidate_levels <= kMaxCandidateLevels,
+                 "candidate levels beyond kMaxCandidateLevels");
   MMR_ASSERT_MSG(round_multiple >= 1, "round must cover every VC");
   MMR_ASSERT_MSG(std::isfinite(concurrency_factor) && concurrency_factor >= 1.0,
                  "concurrency factor must be finite and >= 1");
@@ -51,20 +54,38 @@ void SimConfig::validate() const {
 
 void SimConfig::validate_network() const {
   validate();
+  const auto conflict = [](const std::string& key_value, const char* why) {
+    throw std::invalid_argument("error: conflicting keys " + key_value +
+                                " with a multi-router network run: " + why);
+  };
   if (shared_flow()) {
-    throw std::invalid_argument(
-        "error: conflicting keys flow=" + flow_spec +
-        " with a multi-router network run: the shared-buffer MMU is a "
-        "single-router regime and the network layer supports flow=credit "
-        "only; drop flow= (or set flow=credit), or run the single-router "
-        "simulation");
+    conflict("flow=" + flow_spec,
+             "the shared-buffer MMU is a single-router regime and the "
+             "network layer supports flow=credit only; drop flow= (or set "
+             "flow=credit), or run the single-router simulation");
   }
   if (!vc_discipline()) {
-    throw std::invalid_argument(
-        "error: conflicting keys qd=" + qd_spec +
-        " with a multi-router network run: VOQ/CICQ queue disciplines are "
-        "single-router regimes and the network layer supports qd=vc only; "
-        "drop qd= (or set qd=vc), or run the single-router simulation");
+    conflict("qd=" + qd_spec,
+             "VOQ/CICQ queue disciplines are single-router regimes and the "
+             "network layer supports qd=vc only; drop qd= (or set qd=vc), or "
+             "run the single-router simulation");
+  }
+  if (!police_spec.empty()) {
+    conflict("police=" + police_spec,
+             "injection policing is a single-router regime the network "
+             "layer does not run; drop police=, or run the single-router "
+             "simulation");
+  }
+  if (!rogue_spec.empty()) {
+    conflict("rogue=" + rogue_spec,
+             "rogue sources are a single-router regime the network layer "
+             "does not run; drop rogue=, or run the single-router simulation");
+  }
+  if (audit_every != 0) {
+    conflict("audit=" + std::to_string(audit_every),
+             "the runtime invariant auditor runs on single-router "
+             "simulations only; drop audit=, or run the single-router "
+             "simulation");
   }
 }
 
@@ -93,6 +114,19 @@ std::uint64_t parse_u64(std::string_view v, const std::string& key) {
     throw std::invalid_argument("bad integer value for " + key + ": " +
                                 std::string(v));
   return x;
+}
+
+/// parse_u64 for 32-bit fields: a value above `max` is rejected with the
+/// limit in the message instead of being truncated to its low 32 bits.
+std::uint32_t parse_u32(std::string_view v, const std::string& key,
+                        std::uint32_t max = UINT32_MAX,
+                        const char* limit = "the 32-bit field") {
+  const std::uint64_t x = parse_u64(v, key);
+  if (x > max)
+    throw std::invalid_argument(key + "=" + std::string(v) +
+                                " out of range: at most " +
+                                std::to_string(max) + " (" + limit + ")");
+  return static_cast<std::uint32_t>(x);
 }
 
 constexpr const char* kValidKeys =
@@ -127,28 +161,28 @@ std::vector<std::string> apply_overrides(
             " ports (kMaxPorts, mmr/sim/config.hpp)");
       config.ports = static_cast<std::uint32_t>(ports);
     } else if (key == "vcs") {
-      config.vcs_per_link = static_cast<std::uint32_t>(parse_u64(value, key));
+      config.vcs_per_link = parse_u32(value, key);
     } else if (key == "link_bps") {
       const double bps = parse_double(value, key);
       if (bps <= 0.0)
         throw std::invalid_argument("link_bps must be positive, got: " + value);
       config.link_bandwidth_bps = bps;
     } else if (key == "flit_bits") {
-      config.flit_bits = static_cast<std::uint32_t>(parse_u64(value, key));
+      config.flit_bits = parse_u32(value, key);
     } else if (key == "phit_bits") {
-      config.phit_bits = static_cast<std::uint32_t>(parse_u64(value, key));
+      config.phit_bits = parse_u32(value, key);
     } else if (key == "buffer_flits") {
-      config.buffer_flits_per_vc =
-          static_cast<std::uint32_t>(parse_u64(value, key));
+      config.buffer_flits_per_vc = parse_u32(value, key);
     } else if (key == "levels") {
       config.candidate_levels =
-          static_cast<std::uint32_t>(parse_u64(value, key));
+          parse_u32(value, key, kMaxCandidateLevels,
+                    "kMaxCandidateLevels, mmr/sim/config.hpp");
     } else if (key == "link_latency") {
       config.link_latency = parse_u64(value, key);
     } else if (key == "credit_latency") {
       config.credit_latency = parse_u64(value, key);
     } else if (key == "round_multiple") {
-      config.round_multiple = static_cast<std::uint32_t>(parse_u64(value, key));
+      config.round_multiple = parse_u32(value, key);
     } else if (key == "concurrency_factor") {
       const double factor = parse_double(value, key);
       if (factor < 1.0)
@@ -191,7 +225,7 @@ std::vector<std::string> apply_overrides(
         config.net_threads = static_cast<std::uint32_t>(threads);
       }
     } else if (key == "audit") {
-      config.audit_every = static_cast<std::uint32_t>(parse_u64(value, key));
+      config.audit_every = parse_u32(value, key);
     } else {
       throw std::invalid_argument("unknown config key '" + key +
                                   "'; valid keys: " + kValidKeys);

@@ -29,6 +29,11 @@ enum class PriorityScheme : std::uint8_t {
 /// arbiter construction.
 inline constexpr std::uint32_t kMaxPorts = 1024;
 
+/// Largest candidate-level count (levels=): the link schedulers rank
+/// candidates in a fixed-size selection buffer of this many entries.
+/// Larger values are rejected at parse time (apply_overrides).
+inline constexpr std::uint32_t kMaxCandidateLevels = 64;
+
 struct SimConfig {
   // --- geometry -----------------------------------------------------------
   std::uint32_t ports = 4;            ///< physical input = output links
@@ -155,9 +160,10 @@ struct SimConfig {
 
   /// validate() plus the constraints specific to a multi-router network run.
   /// Unlike validate() this *throws* std::invalid_argument (message prefixed
-  /// "error:") on a conflicting key combination — e.g. `flow=shared`, which
-  /// is a single-router regime — so drivers can print the message and exit 1
-  /// instead of dying on an assert deep inside the network constructor.
+  /// "error:") on a conflicting key combination — a single-router regime the
+  /// network layer does not honour (`flow=shared`, `qd=voq|cicq`, `police=`,
+  /// `rogue=`, `audit=`) — so drivers can print the message and exit 1
+  /// instead of dying on an assert or silently ignoring the key.
   void validate_network() const;
 };
 

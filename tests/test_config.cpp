@@ -4,6 +4,10 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "mmr/core/simulation.hpp"
+#include "mmr/traffic/mix.hpp"
 
 namespace mmr {
 namespace {
@@ -172,6 +176,76 @@ TEST(SimConfig, ValidateNetworkRejectsSharedFlow) {
     EXPECT_NE(what.find("flow=shared"), std::string::npos) << what;
     EXPECT_NE(what.find("net"), std::string::npos) << what;
   }
+}
+
+/// The message apply_overrides throws for `override`, or "" if it accepts.
+std::string override_error(const std::string& override_kv) {
+  SimConfig config;
+  try {
+    apply_overrides(config, {override_kv});
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+// 32-bit fields used to be parsed as u64 and truncated: levels=4294967297
+// silently ran as levels=1.  Every one now rejects values past its range,
+// naming the key and the limit.
+TEST(SimConfig, RejectsOutOfRange32BitFields) {
+  for (const char* key : {"vcs", "flit_bits", "phit_bits", "buffer_flits",
+                          "levels", "round_multiple", "audit"}) {
+    const std::string what =
+        override_error(std::string(key) + "=4294967297");
+    EXPECT_NE(what.find(std::string(key) + "=4294967297 out of range"),
+              std::string::npos)
+        << what;
+  }
+  const std::string what = override_error("vcs=4294967296");
+  EXPECT_NE(what.find("at most 4294967295"), std::string::npos) << what;
+  EXPECT_EQ(override_error("vcs=4294967295"), "");
+  EXPECT_EQ(override_error("audit=4294967295"), "");
+}
+
+// levels=65 with vcs=256 used to pass validate() and abort on cycle 0 in
+// LinkScheduler::select; the selection-buffer limit is now a parse error.
+TEST(SimConfig, RejectsCandidateLevelsBeyondTheSelectionBuffer) {
+  const std::string what = override_error("levels=65");
+  EXPECT_NE(what.find("levels=65 out of range"), std::string::npos) << what;
+  EXPECT_NE(what.find("at most 64"), std::string::npos) << what;
+  EXPECT_NE(what.find("kMaxCandidateLevels"), std::string::npos) << what;
+
+  // The limit itself is usable end to end.
+  SimConfig config;
+  apply_overrides(config, {"levels=64", "vcs=64", "warmup=50", "measure=200"});
+  EXPECT_EQ(config.candidate_levels, kMaxCandidateLevels);
+  Rng rng(config.seed, 1);
+  CbrMixSpec spec;
+  spec.target_load = 0.9;
+  MmrSimulation simulation(config, build_cbr_mix(config, spec, rng));
+  EXPECT_GT(simulation.run().flits_delivered, 0u);
+}
+
+// police=, rogue= and audit= are single-router regimes the network layer
+// never reads; a network run rejects them instead of ignoring them.
+TEST(SimConfig, ValidateNetworkRejectsSingleRouterOnlyKeys) {
+  for (const std::string& kv :
+       {std::string("police=drop"), std::string("rogue=frac:0.5,scale:5"),
+        std::string("audit=10")}) {
+    SimConfig config;
+    apply_overrides(config, {kv});
+    try {
+      config.validate_network();
+      FAIL() << "expected invalid_argument for " << kv;
+    } catch (const std::invalid_argument& error) {
+      const std::string what = error.what();
+      EXPECT_EQ(what.rfind("error: conflicting keys " + kv, 0), 0u) << what;
+      EXPECT_NE(what.find("network"), std::string::npos) << what;
+    }
+  }
+  SimConfig config;
+  apply_overrides(config, {"audit=0"});
+  config.validate_network();  // audit=0 is "off": nothing to ignore
 }
 
 TEST(SimConfig, PrioritySchemeRoundTrips) {

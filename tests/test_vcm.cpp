@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <random>
+#include <vector>
+
+#include "mmr/router/fifo_pool.hpp"
+#include "mmr/snapshot/format.hpp"
+#include "mmr/snapshot/walker.hpp"
 
 namespace mmr {
 namespace {
@@ -147,6 +154,132 @@ TEST(Vcm, PopReturnsTheStoredFlit) {
   EXPECT_EQ(popped.frame, 3u);
   EXPECT_TRUE(popped.last_of_frame);
   EXPECT_EQ(popped.generated_at, 1234u);
+}
+
+// --- pooled FIFO storage ----------------------------------------------------
+
+TEST(FifoPool, InterleavedPushPopReusesSlotsAndMatchesDeques) {
+  // Random interleaved traffic over many FIFOs, checked element by element
+  // against one std::deque per FIFO.  Popped slots are reused, so the pool
+  // never grows past the peak total occupancy.
+  constexpr std::uint32_t kFifos = 37;
+  FifoPool<std::uint64_t> pool(kFifos);
+  std::vector<std::deque<std::uint64_t>> model(kFifos);
+  std::mt19937_64 rng(12345);
+  std::size_t occupancy = 0;
+  std::size_t peak = 0;
+  std::uint64_t next = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    const auto q = static_cast<std::uint32_t>(rng() % kFifos);
+    // Bias towards pushes early and pops late so occupancy rises and falls.
+    const bool push = (rng() % 100) < (step < 10'000 ? 60u : 40u);
+    if (push) {
+      pool.push_back(q, next);
+      model[q].push_back(next);
+      ++next;
+      peak = std::max(peak, ++occupancy);
+    } else if (!model[q].empty()) {
+      ASSERT_EQ(pool.front(q), model[q].front());
+      ASSERT_EQ(pool.pop_front(q), model[q].front());
+      model[q].pop_front();
+      --occupancy;
+    }
+    ASSERT_EQ(pool.size(q), model[q].size());
+    ASSERT_EQ(pool.empty(q), model[q].empty());
+  }
+  EXPECT_EQ(pool.pool_slots(), peak);
+  for (std::uint32_t q = 0; q < kFifos; ++q) {
+    std::vector<std::uint64_t> seen;
+    pool.for_each(q, [&seen](std::uint64_t v) { seen.push_back(v); });
+    EXPECT_EQ(seen, std::vector<std::uint64_t>(model[q].begin(),
+                                               model[q].end()));
+  }
+}
+
+TEST(FifoPool, WalkBytesMatchVectorOfDeques) {
+  // The checkpoint walk must emit exactly what walk_vector(walk_deque)
+  // emitted over the std::vector<std::deque<T>> it replaced, so StateHash
+  // values and saved checkpoints carry over.
+  FifoPool<std::uint32_t> pool(5);
+  std::vector<std::deque<std::uint32_t>> deques(5);
+  for (std::uint32_t i = 0; i < 40; ++i) {
+    const std::uint32_t q = (i * 7) % 5;
+    pool.push_back(q, i);
+    deques[q].push_back(i);
+    if (i % 3 == 0) {
+      (void)pool.pop_front(q);
+      deques[q].pop_front();
+    }
+  }
+  const auto element = [](snapshot::Walker& w, std::uint32_t& v) {
+    snapshot::value(w, v);
+  };
+  snapshot::HashWalker pool_hash;
+  pool.snap(pool_hash, element);
+  snapshot::HashWalker deque_hash;
+  snapshot::walk_vector(
+      deque_hash, deques,
+      [&element](snapshot::Walker& w, std::deque<std::uint32_t>& d) {
+        snapshot::walk_deque(w, d, element);
+      });
+  EXPECT_EQ(pool_hash.digest(), deque_hash.digest());
+}
+
+std::uint64_t vcm_hash(VirtualChannelMemory& vcm) {
+  snapshot::HashWalker w;
+  w.section("vcm");
+  vcm.snap(w);
+  return w.digest();
+}
+
+TEST(Vcm, CheckpointAfterSlotReuseRestoresToTheSameHash) {
+  // Churn until popped slots have been reused out of order, save, restore
+  // into a fresh memory (whose pool is laid out compactly), and the two
+  // must hash equal now and after identical further traffic.
+  VirtualChannelMemory vcm(16, 3);
+  std::mt19937_64 rng(7);
+  Cycle now = 0;
+  const auto churn = [&now](VirtualChannelMemory& m,
+                                  std::mt19937_64& r, int steps) {
+    for (int i = 0; i < steps; ++i, ++now) {
+      const auto vc = static_cast<std::uint32_t>(r() % 16);
+      if (r() % 2 == 0) {
+        if (m.can_accept(vc)) m.push(vc, make_flit(vc, now), now);
+      } else if (!m.empty(vc)) {
+        (void)m.pop(vc);
+      }
+    }
+  };
+  churn(vcm, rng, 2'000);
+  vcm.check_invariants();
+
+  snapshot::Snapshot saved;
+  snapshot::SaveWalker save(saved);
+  save.section("vcm");
+  vcm.snap(save);
+
+  VirtualChannelMemory restored(16, 3);
+  snapshot::LoadWalker load(saved);
+  load.section("vcm");
+  restored.snap(load);
+  load.finish();
+  restored.check_invariants();
+  EXPECT_EQ(vcm_hash(restored), vcm_hash(vcm));
+
+  std::mt19937_64 rng_a(99);
+  std::mt19937_64 rng_b(99);
+  const Cycle resume = now;
+  churn(vcm, rng_a, 1'000);
+  now = resume;
+  churn(restored, rng_b, 1'000);
+  EXPECT_EQ(vcm_hash(restored), vcm_hash(vcm));
+  for (std::uint32_t vc = 0; vc < 16; ++vc) {
+    ASSERT_EQ(restored.occupancy(vc), vcm.occupancy(vc));
+    while (!vcm.empty(vc)) {
+      EXPECT_EQ(restored.head_arrival(vc), vcm.head_arrival(vc));
+      EXPECT_EQ(restored.pop(vc).seq, vcm.pop(vc).seq);
+    }
+  }
 }
 
 }  // namespace
