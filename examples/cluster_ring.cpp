@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "mmr/fault/fault_plan.hpp"
 #include "mmr/network/network.hpp"
 #include "mmr/router/qd_spec.hpp"
 #include "mmr/sim/table.hpp"
@@ -46,6 +47,8 @@ int main(int argc, char** argv) {
       (void)trace::TraceSpec::parse(config.trace_spec);
     if (!config.qd_spec.empty())
       (void)QdSpec::parse(config.qd_spec);
+    if (!config.fault_spec.empty())
+      (void)FaultPlan::parse(config.fault_spec);
     snapshot::validate_spec(config);
     config.validate_network();  // e.g. flow=shared conflicts with a network
   } catch (const std::exception& error) {

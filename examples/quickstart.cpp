@@ -36,11 +36,13 @@ int main(int argc, char** argv) {
     mmr::snapshot::validate_spec(config);
     if (!config.flow_spec.empty())
       (void)mmr::mmu::MmuSpec::parse(config.flow_spec);
+    config.validate_single_router();  // e.g. fault= needs a network
   } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
+    const std::string what = error.what();
+    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
+              << '\n';
     return 1;
   }
-  config.validate();
 
   // A random mix of the paper's three CBR classes at 60% offered load.
   mmr::Rng rng(config.seed, /*stream=*/1);

@@ -63,11 +63,13 @@ int main(int argc, char** argv) {
     mmr::snapshot::validate_spec(config);
     if (!config.flow_spec.empty())
       (void)mmr::mmu::MmuSpec::parse(config.flow_spec);
+    config.validate_single_router();  // e.g. fault= needs a network
   } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
+    const std::string what = error.what();
+    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
+              << '\n';
     return 1;
   }
-  config.validate();
 
   std::printf("Rogue tenant: %ux%u router, %s arbiter, rogue=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),

@@ -40,11 +40,13 @@ int main(int argc, char** argv) {
     if (!config.qd_spec.empty())
       (void)mmr::QdSpec::parse(config.qd_spec);
     mmr::snapshot::validate_spec(config);
+    config.validate_single_router();  // e.g. fault= needs a network
   } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
+    const std::string what = error.what();
+    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
+              << '\n';
     return 1;
   }
-  config.validate();
 
   std::printf("Traced saturation: %ux%u router, %s arbiter, trace=%s\n\n",
               config.ports, config.ports, config.arbiter.c_str(),

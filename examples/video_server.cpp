@@ -45,11 +45,13 @@ int main(int argc, char** argv) {
     if (!config.qd_spec.empty())
       (void)QdSpec::parse(config.qd_spec);
     snapshot::validate_spec(config);
+    config.validate_single_router();  // e.g. fault= needs a network
   } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << '\n';
+    const std::string what = error.what();
+    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
+              << '\n';
     return 1;
   }
-  config.validate();
 
   Rng rng(config.seed, 0x71DE0);
   VbrMixSpec spec;

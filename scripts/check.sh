@@ -24,6 +24,31 @@ cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}" -LE tier2
 
 echo
+echo "=== option-grammar stage (each grammar rejects bad input with error:) ==="
+# expect_error KEY CMD...: CMD must exit 1 with a message starting "error:"
+# that names KEY.
+expect_error() {
+  local key="$1" out status=0
+  shift
+  out="$("$@" 2>&1 >/dev/null)" || status=$?
+  if [[ ${status} -ne 1 || "${out}" != error:* || "${out}" != *"${key}"* ]]; then
+    echo "FAIL (exit ${status}): $* -> ${out}"
+    exit 1
+  fi
+  echo "ok: $* -> ${out:0:100}"
+}
+expect_error credit_latency ./build/examples/quickstart \
+  credit_latency=18446744073709551615
+expect_error reserved ./build/examples/quickstart flow=shared,reserved:4294967296
+expect_error penalty ./build/examples/quickstart police=drop,penalty:4294967296
+expect_error count ./build/examples/quickstart rogue=count:4294967296
+expect_error xp ./build/examples/quickstart qd=cicq,xp:4294967297
+expect_error ring ./build/examples/quickstart trace=flight,ring:4294967296
+expect_error crash ./build/examples/quickstart snap=crash:2
+expect_error drop ./build/examples/cluster_ring fault=drop:nan
+expect_error fault= ./build/examples/quickstart fault=drop:0.5,down:0:10:100000
+
+echo
 echo "=== tier-2 soaks (arbiter audit, overload protection, MMU; 200 seeds each) ==="
 ctest --test-dir build --output-on-failure -j "${JOBS}" -L tier2
 

@@ -27,25 +27,28 @@ constexpr std::uint32_t kNoSource = ~std::uint32_t{0};
 
 }  // namespace
 
-SimConfig MmrSimulation::with_flow_regime(SimConfig config) {
+SimConfig MmrSimulation::with_flow_regime(
+    SimConfig config, std::optional<mmu::MmuSpec>& shared) {
   if (config.flow_spec.empty()) return config;
   // Parse eagerly so a malformed spec fails before anything is built; only
   // the shared regime changes the buffer geometry (resolve() reads ports and
   // latencies, never buffer_flits_per_vc, so the order is safe).
   const mmu::MmuSpec spec = mmu::MmuSpec::parse(config.flow_spec);
-  if (spec.mode == mmu::FlowMode::kShared)
+  if (spec.mode == mmu::FlowMode::kShared) {
+    shared = spec;
     config.buffer_flits_per_vc = spec.resolve(config).vc_slots();
+  }
   return config;
 }
 
 MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
-    : config_(with_flow_regime(std::move(config))),
+    : config_(with_flow_regime(std::move(config), shared_flow_)),
       workload_(std::move(workload)),
       router_(config_, workload_.table, Rng(config_.seed, 0xA0)),
       collector_(workload_.table, config_),
       generated_load_nominal_(
           workload_.generated_load(config_.time_base())) {
-  config_.validate();
+  config_.validate_single_router();
   workload_.check_invariants();
 
   // Rogue wrapping must precede the emission-heap build below so the heap
@@ -67,9 +70,8 @@ MmrSimulation::MmrSimulation(SimConfig config, Workload workload)
           std::make_unique<overload::SaturationWatchdog>(spec, config_.ports);
   }
 
-  if (config_.shared_flow()) {
-    mmu_ = std::make_unique<mmu::SharedBufferMmu>(
-        mmu::MmuSpec::parse(config_.flow_spec), config_);
+  if (shared_flow_) {
+    mmu_ = std::make_unique<mmu::SharedBufferMmu>(*shared_flow_, config_);
     if (mmu_->spec().ecn) {
       ecn_ = std::make_unique<mmu::EcnReactor>(workload_.table.size(),
                                                mmu_->spec());

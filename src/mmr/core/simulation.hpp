@@ -7,10 +7,12 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
 #include "mmr/core/metrics.hpp"
+#include "mmr/mmu/spec.hpp"
 #include "mmr/router/link.hpp"
 #include "mmr/router/nic.hpp"
 #include "mmr/router/router.hpp"
@@ -143,9 +145,10 @@ class MmrSimulation {
   /// Normalizes the flow regime before member construction: `flow=shared`
   /// re-sizes the per-VC buffer/credit allowance to the MMU's admission
   /// allowance (MmuSpec::vc_slots), because a single field feeds both the
-  /// router's VCM capacity and the NIC's credit budget.  Unset / "credit"
-  /// returns the config untouched.
-  [[nodiscard]] static SimConfig with_flow_regime(SimConfig config);
+  /// router's VCM capacity and the NIC's credit budget, and stores the
+  /// parsed spec in `shared`.  Unset / "credit" returns the config untouched.
+  [[nodiscard]] static SimConfig with_flow_regime(
+      SimConfig config, std::optional<mmu::MmuSpec>& shared);
 
   /// A flit's loss class at the MMU: policed-demoted excess is lossy
   /// best-effort regardless of the VC's traffic class.
@@ -155,6 +158,9 @@ class MmrSimulation {
   /// source and the policer's token bucket.
   void apply_ecn_factor(ConnectionId connection);
 
+  /// The `flow=shared` spec, parsed once by with_flow_regime; declared
+  /// before config_, whose initializer fills it.
+  std::optional<mmu::MmuSpec> shared_flow_;
   SimConfig config_;
   Workload workload_;
   MmrRouter router_;

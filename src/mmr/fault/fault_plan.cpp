@@ -1,12 +1,12 @@
 #include "mmr/fault/fault_plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <array>
+#include <cmath>
 #include <map>
-#include <sstream>
-#include <stdexcept>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr {
 
@@ -72,72 +72,44 @@ void FaultPlan::validate(std::uint32_t channels) const {
 
 namespace {
 
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  std::string part;
-  while (std::getline(in, part, sep)) parts.push_back(part);
-  return parts;
-}
-
-double parse_probability(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("fault spec: bad probability in '" + token +
-                                "'");
+/// The multi-value `down:CH:FROM:TO` token: three ':'-separated integers.
+LinkDownWindow down_window(const opt::Token& token) {
+  std::array<std::uint64_t, 3> n{};
+  opt::Token part = token;
+  std::string_view rest = token.value;
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    const std::size_t colon = rest.find(':');
+    if ((colon == std::string_view::npos) != (i + 1 == n.size()))
+      token.fail("must be down:CH:FROM:TO");
+    part.value = rest.substr(0, colon);
+    n[i] = part.unsigned_int(i == 0 ? opt::k32Bit : opt::Limit{});
+    rest.remove_prefix(std::min(colon + 1, rest.size()));
   }
-  return p;
-}
-
-std::uint64_t parse_number(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    throw std::invalid_argument("fault spec: bad number in '" + token + "'");
-  }
-  return n;
+  return {static_cast<std::uint32_t>(n[0]), n[1], n[2]};
 }
 
 }  // namespace
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const std::vector<std::string> parts = split(token, ':');
-    const std::string& key = parts.front();
-    const auto args = parts.size() - 1;
-    if (key == "drop" && args == 1) {
-      plan.default_rates.drop_probability = parse_probability(parts[1], token);
-    } else if (key == "corrupt" && args == 1) {
-      plan.default_rates.corrupt_probability =
-          parse_probability(parts[1], token);
-    } else if (key == "credit_loss" && args == 1) {
-      plan.default_rates.credit_loss_probability =
-          parse_probability(parts[1], token);
-    } else if (key == "down" && args == 3) {
-      LinkDownWindow window;
-      window.channel = static_cast<std::uint32_t>(parse_number(parts[1], token));
-      window.down_at = parse_number(parts[2], token);
-      window.up_at = parse_number(parts[3], token);
-      plan.down_windows.push_back(window);
-    } else if (key == "resync_period" && args == 1) {
-      plan.resync_period = parse_number(parts[1], token);
-    } else if (key == "resync_timeout" && args == 1) {
-      plan.resync_timeout = parse_number(parts[1], token);
-    } else if (key == "deadline" && args == 1) {
-      plan.qos_deadline_cycles =
-          static_cast<double>(parse_number(parts[1], token));
-    } else if (key == "seed" && args == 1) {
-      plan.seed = parse_number(parts[1], token);
-    } else {
-      throw std::invalid_argument(
-          "fault spec: unknown token '" + token +
-          "'; expected drop:P, corrupt:P, credit_loss:P, down:CH:FROM:TO, "
-          "resync_period:N, resync_timeout:N, deadline:N or seed:N");
-    }
-  }
+  if (spec.empty()) return plan;
+  constexpr opt::Range kProbability{0.0, 1.0};
+  ChannelFaultRates& rates = plan.default_rates;
+  opt::Grammar(
+      "fault spec",
+      {opt::real("drop", rates.drop_probability, kProbability),
+       opt::real("corrupt", rates.corrupt_probability, kProbability),
+       opt::real("credit_loss", rates.credit_loss_probability, kProbability),
+       {"down",
+        [&plan](const opt::Token& t) {
+          plan.down_windows.push_back(down_window(t));
+        }},
+       opt::u64("resync_period", plan.resync_period),
+       opt::u64("resync_timeout", plan.resync_timeout),
+       opt::real("deadline", plan.qos_deadline_cycles,
+                 {0.0, HUGE_VAL, /*min_open=*/true}),
+       opt::u64("seed", plan.seed)})
+      .parse(spec);
   return plan;
 }
 

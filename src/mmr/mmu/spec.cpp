@@ -1,11 +1,10 @@
 #include "mmr/mmu/spec.hpp"
 
-#include <charconv>
 #include <cmath>
 #include <stdexcept>
-#include <string_view>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr::mmu {
 
@@ -17,107 +16,31 @@ const char* to_string(FlowMode m) {
   return "?";
 }
 
-namespace {
-
-double parse_double(std::string_view v, const std::string& key) {
-  const std::string tmp(v);
-  char* end = nullptr;
-  const double x = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0')
-    throw std::invalid_argument("mmu spec: bad numeric value for " + key +
-                                ": " + tmp);
-  if (!std::isfinite(x))
-    throw std::invalid_argument("mmu spec: value for " + key +
-                                " must be finite, got: " + tmp);
-  return x;
-}
-
-std::uint64_t parse_u64(std::string_view v, const std::string& key) {
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc{} || p != v.data() + v.size())
-    throw std::invalid_argument("mmu spec: bad integer value for " + key +
-                                ": " + std::string(v));
-  return x;
-}
-
-}  // namespace
-
 MmuSpec MmuSpec::parse(const std::string& spec) {
   MmuSpec out;
-  std::string_view rest(spec);
-
-  const auto next_token = [&rest]() {
-    const auto comma = rest.find(',');
-    std::string_view token = rest.substr(0, comma);
-    rest = comma == std::string_view::npos ? std::string_view{}
-                                           : rest.substr(comma + 1);
-    return token;
-  };
-
-  const std::string_view mode = next_token();
-  if (mode == "credit") {
-    out.mode = FlowMode::kCredit;
-  } else if (mode == "shared") {
-    out.mode = FlowMode::kShared;
-  } else {
-    throw std::invalid_argument("mmu spec must start with credit|shared, got: " +
-                                std::string(mode));
-  }
-
-  while (!rest.empty()) {
-    const std::string_view token = next_token();
-    if (token.empty()) continue;
-    const auto colon = token.find(':');
-    if (colon == std::string_view::npos)
-      throw std::invalid_argument("mmu spec token must be key:value: " +
-                                  std::string(token));
-    const std::string key(token.substr(0, colon));
-    const std::string_view value = token.substr(colon + 1);
-    if (key == "pool") {
-      out.pool_flits = parse_u64(value, key);
-    } else if (key == "reserved") {
-      out.reserved_per_class = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "headroom") {
-      out.headroom_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "alpha") {
-      out.alpha = parse_double(value, key);
-    } else if (key == "alpha_be") {
-      out.alpha_be = parse_double(value, key);
-    } else if (key == "xoff") {
-      out.xoff_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "xon") {
-      out.xon_flits = static_cast<std::uint32_t>(parse_u64(value, key));
-    } else if (key == "ecn") {
-      out.ecn = parse_u64(value, key) != 0;
-    } else if (key == "kmin") {
-      out.ecn_kmin = parse_u64(value, key);
-    } else if (key == "kmax") {
-      out.ecn_kmax = parse_u64(value, key);
-    } else if (key == "pmax") {
-      out.ecn_pmax = parse_double(value, key);
-    } else if (key == "ecn_cut") {
-      out.ecn_cut = parse_double(value, key);
-    } else if (key == "ecn_floor") {
-      out.ecn_floor = parse_double(value, key);
-    } else if (key == "ecn_recover") {
-      out.ecn_recover = parse_u64(value, key);
-    } else if (key == "ecn_step") {
-      out.ecn_step = parse_double(value, key);
-    } else if (key == "sample") {
-      out.sample_every = parse_u64(value, key);
-    } else {
-      throw std::invalid_argument(
-          "mmu spec: unknown key '" + key +
-          "'; valid keys: pool, reserved, headroom, alpha, alpha_be, xoff, "
-          "xon, ecn, kmin, kmax, pmax, ecn_cut, ecn_floor, ecn_recover, "
-          "ecn_step, sample");
-    }
-  }
+  opt::Grammar("flow spec",
+               {opt::u64("pool", out.pool_flits),
+                opt::u32("reserved", out.reserved_per_class),
+                opt::u32("headroom", out.headroom_flits),
+                opt::real("alpha", out.alpha),
+                opt::real("alpha_be", out.alpha_be),
+                opt::u32("xoff", out.xoff_flits),
+                opt::u32("xon", out.xon_flits),
+                opt::flag("ecn", out.ecn),
+                opt::u64("kmin", out.ecn_kmin),
+                opt::u64("kmax", out.ecn_kmax),
+                opt::real("pmax", out.ecn_pmax),
+                opt::real("ecn_cut", out.ecn_cut),
+                opt::real("ecn_floor", out.ecn_floor),
+                opt::u64("ecn_recover", out.ecn_recover),
+                opt::real("ecn_step", out.ecn_step),
+                opt::u64("sample", out.sample_every)})
+      .head(out.mode, {FlowMode::kCredit, FlowMode::kShared}, /*leading=*/true)
+      .parse(spec);
   if (out.mode == FlowMode::kCredit &&
       (out.pool_flits != 0 || out.xoff_flits != 0))
     throw std::invalid_argument(
-        "mmu spec: pool/pause keys are meaningless under flow=credit");
+        "flow spec: pool/pause keys are meaningless under flow=credit");
   return out;
 }
 

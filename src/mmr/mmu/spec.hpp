@@ -68,10 +68,9 @@ struct MmuSpec {
 
   Cycle sample_every = 64;  ///< shared-pool occupancy sampling period
 
-  /// Parses "credit" or "shared[,key:value...]" with keys pool, reserved,
-  /// headroom, alpha, alpha_be, xoff, xon, ecn (0|1), kmin, kmax, pmax,
-  /// ecn_cut, ecn_floor, ecn_recover, ecn_step, sample.  Throws
-  /// std::invalid_argument on unknown or malformed tokens.
+  /// Parses "credit" or "shared[,key:value...]", keys as in the field table
+  /// of spec.cpp (`ecn` takes 0|1).  Throws std::invalid_argument on unknown
+  /// or malformed tokens.
   [[nodiscard]] static MmuSpec parse(const std::string& spec);
 
   /// Returns a copy with every derivable 0 replaced by its default for

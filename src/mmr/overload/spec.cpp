@@ -1,12 +1,9 @@
 #include "mmr/overload/spec.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <stdexcept>
-#include <vector>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr::overload {
 
@@ -19,105 +16,34 @@ const char* to_string(OverloadPolicy p) {
   return "?";
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
+const char* to_string(RogueSpec::Classes c) {
+  switch (c) {
+    case RogueSpec::Classes::kAny: return "any";
+    case RogueSpec::Classes::kCbrOnly: return "cbr";
+    case RogueSpec::Classes::kVbrOnly: return "vbr";
   }
-  return parts;
+  return "?";
 }
-
-double parse_double(const std::string& value, const std::string& token) {
-  char* end = nullptr;
-  const double x = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0' || !std::isfinite(x))
-    throw std::invalid_argument("bad numeric value in overload spec token: " +
-                                token);
-  return x;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in overload spec token: " +
-                                token);
-  return x;
-}
-
-/// Splits "key:value"; throws when there is no colon.
-std::pair<std::string, std::string> key_value(const std::string& token) {
-  const std::size_t colon = token.find(':');
-  if (colon == std::string::npos)
-    throw std::invalid_argument("overload spec token must be key:value: " +
-                                token);
-  return {token.substr(0, colon), token.substr(colon + 1)};
-}
-
-}  // namespace
 
 PoliceSpec PoliceSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty police spec (omit police= instead)");
   PoliceSpec parsed;
-  bool policy_seen = false;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    if (token == "drop" || token == "shape" || token == "demote") {
-      if (policy_seen)
-        throw std::invalid_argument("police spec names two policies: " + spec);
-      policy_seen = true;
-      parsed.policy = token == "drop"    ? OverloadPolicy::kDrop
-                      : token == "shape" ? OverloadPolicy::kShape
-                                         : OverloadPolicy::kDemote;
-      continue;
-    }
-    const auto [key, value] = key_value(token);
-    if (key == "burst") {
-      parsed.burst_rounds = parse_double(value, token);
-    } else if (key == "vbr_burst") {
-      parsed.vbr_burst_rounds = parse_double(value, token);
-    } else if (key == "penalty") {
-      parsed.penalty_flits = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "deadline") {
-      parsed.qos_deadline_cycles = parse_double(value, token);
-    } else if (key == "wd_window") {
-      parsed.wd_window = parse_u64(value, token);
-    } else if (key == "wd_alpha") {
-      parsed.wd_alpha = parse_double(value, token);
-    } else if (key == "wd_high") {
-      parsed.wd_high = parse_double(value, token);
-    } else if (key == "wd_low") {
-      parsed.wd_low = parse_double(value, token);
-    } else if (key == "wd_escalate") {
-      parsed.wd_escalate_after =
-          static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "wd_recover") {
-      parsed.wd_recover_after =
-          static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "wd_pause_limit") {
-      parsed.wd_pause_limit = parse_u64(value, token);
-    } else {
-      throw std::invalid_argument(
-          "unknown police spec token '" + token +
-          "'; expected drop|shape|demote, burst, vbr_burst, penalty, "
-          "deadline, wd_window, wd_alpha, wd_high, wd_low, wd_escalate, "
-          "wd_recover, wd_pause_limit");
-    }
-  }
-  if (!policy_seen)
-    throw std::invalid_argument(
-        "police spec must name a policy (drop|shape|demote): " + spec);
+  opt::Grammar("police spec",
+               {opt::real("burst", parsed.burst_rounds),
+                opt::real("vbr_burst", parsed.vbr_burst_rounds),
+                opt::u32("penalty", parsed.penalty_flits),
+                opt::real("deadline", parsed.qos_deadline_cycles),
+                opt::u64("wd_window", parsed.wd_window),
+                opt::real("wd_alpha", parsed.wd_alpha),
+                opt::real("wd_high", parsed.wd_high),
+                opt::real("wd_low", parsed.wd_low),
+                opt::u32("wd_escalate", parsed.wd_escalate_after),
+                opt::u32("wd_recover", parsed.wd_recover_after),
+                opt::u64("wd_pause_limit", parsed.wd_pause_limit)})
+      .head(parsed.policy,
+            {OverloadPolicy::kDrop, OverloadPolicy::kShape,
+             OverloadPolicy::kDemote},
+            /*leading=*/false)
+      .parse(spec);
   parsed.validate();
   return parsed;
 }
@@ -142,44 +68,19 @@ void PoliceSpec::validate() const {
 }
 
 RogueSpec RogueSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty rogue spec (omit rogue= instead)");
   RogueSpec parsed;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const auto [key, value] = key_value(token);
-    if (key == "frac") {
-      parsed.fraction = parse_double(value, token);
-    } else if (key == "count") {
-      parsed.count = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "scale") {
-      parsed.scale = parse_double(value, token);
-    } else if (key == "burst_scale") {
-      parsed.burst_scale = parse_double(value, token);
-    } else if (key == "burst_period") {
-      parsed.burst_period = parse_u64(value, token);
-    } else if (key == "burst_len") {
-      parsed.burst_len = parse_u64(value, token);
-    } else if (key == "seed") {
-      parsed.seed = parse_u64(value, token);
-    } else if (key == "class") {
-      if (value == "any") {
-        parsed.classes = Classes::kAny;
-      } else if (value == "cbr") {
-        parsed.classes = Classes::kCbrOnly;
-      } else if (value == "vbr") {
-        parsed.classes = Classes::kVbrOnly;
-      } else {
-        throw std::invalid_argument("rogue class must be any|cbr|vbr, got: " +
-                                    value);
-      }
-    } else {
-      throw std::invalid_argument(
-          "unknown rogue spec token '" + token +
-          "'; expected frac, count, scale, burst_scale, burst_period, "
-          "burst_len, seed, class");
-    }
-  }
+  opt::Grammar("rogue spec",
+               {opt::real("frac", parsed.fraction),
+                opt::u32("count", parsed.count),
+                opt::real("scale", parsed.scale),
+                opt::real("burst_scale", parsed.burst_scale),
+                opt::u64("burst_period", parsed.burst_period),
+                opt::u64("burst_len", parsed.burst_len),
+                opt::u64("seed", parsed.seed),
+                opt::choice("class", parsed.classes,
+                            {Classes::kAny, Classes::kCbrOnly,
+                             Classes::kVbrOnly})})
+      .parse(spec);
   parsed.validate();
   return parsed;
 }

@@ -88,4 +88,6 @@ struct RogueSpec {
   void validate() const;
 };
 
+[[nodiscard]] const char* to_string(RogueSpec::Classes c);
+
 }  // namespace mmr::overload

@@ -53,7 +53,7 @@ struct QdSpec {
 
   /// Parses "vc", "voq", or "cicq[,key:value...]" with keys stab (0|1),
   /// xp, thresh.  Empty parses as "vc".  Throws std::invalid_argument
-  /// (message prefixed "error:") on unknown or malformed tokens.
+  /// (message prefixed "qd spec") on unknown or malformed tokens.
   [[nodiscard]] static QdSpec parse(const std::string& spec);
 
   /// Aborts with a readable message on nonsense combinations.

@@ -1,14 +1,12 @@
 #include "mmr/sim/config.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdint>
 #include <cmath>
 #include <stdexcept>
-#include <string_view>
 #include <thread>
 
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr {
 
@@ -49,6 +47,8 @@ void SimConfig::validate() const {
   MMR_ASSERT_MSG(round_multiple >= 1, "round must cover every VC");
   MMR_ASSERT_MSG(std::isfinite(concurrency_factor) && concurrency_factor >= 1.0,
                  "concurrency factor must be finite and >= 1");
+  MMR_ASSERT_MSG(link_latency <= kMaxLatency && credit_latency <= kMaxLatency,
+                 "link/credit latency beyond kMaxLatency");
   MMR_ASSERT_MSG(measure_cycles > 0, "nothing to measure");
 }
 
@@ -58,13 +58,14 @@ void SimConfig::validate_network() const {
     throw std::invalid_argument("error: conflicting keys " + key_value +
                                 " with a multi-router network run: " + why);
   };
-  if (shared_flow()) {
+  // Head words read exactly as MmuSpec::parse and QdSpec::parse read them.
+  if (opt::head_word(flow_spec) == "shared") {
     conflict("flow=" + flow_spec,
              "the shared-buffer MMU is a single-router regime and the "
              "network layer supports flow=credit only; drop flow= (or set "
              "flow=credit), or run the single-router simulation");
   }
-  if (!vc_discipline()) {
+  if (!qd_spec.empty() && opt::head_word(qd_spec) != "vc") {
     conflict("qd=" + qd_spec,
              "VOQ/CICQ queue disciplines are single-router regimes and the "
              "network layer supports qd=vc only; drop qd= (or set qd=vc), or "
@@ -89,51 +90,18 @@ void SimConfig::validate_network() const {
   }
 }
 
+void SimConfig::validate_single_router() const {
+  validate();
+  if (!fault_spec.empty()) {
+    throw std::invalid_argument(
+        "error: conflicting keys fault=" + fault_spec +
+        " with a single-router run: the fault injector acts on inter-router "
+        "channels of a multi-router network; drop fault=, or run a network "
+        "simulation (cluster_ring, degraded_ring)");
+  }
+}
+
 namespace {
-
-/// Parses a double, rejecting nan/inf (strtod accepts both spellings) — a
-/// config built from overrides must never carry a non-finite field into a
-/// simulation, where it would silently poison every derived quantity.
-double parse_double(std::string_view v, const std::string& key) {
-  // std::from_chars(double) is not universally available; strtod suffices.
-  const std::string tmp(v);
-  char* end = nullptr;
-  const double x = std::strtod(tmp.c_str(), &end);
-  if (end == tmp.c_str() || *end != '\0')
-    throw std::invalid_argument("bad numeric value for " + key + ": " + tmp);
-  if (!std::isfinite(x))
-    throw std::invalid_argument("value for " + key +
-                                " must be finite, got: " + tmp);
-  return x;
-}
-
-std::uint64_t parse_u64(std::string_view v, const std::string& key) {
-  std::uint64_t x = 0;
-  const auto [p, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc{} || p != v.data() + v.size())
-    throw std::invalid_argument("bad integer value for " + key + ": " +
-                                std::string(v));
-  return x;
-}
-
-/// parse_u64 for 32-bit fields: a value above `max` is rejected with the
-/// limit in the message instead of being truncated to its low 32 bits.
-std::uint32_t parse_u32(std::string_view v, const std::string& key,
-                        std::uint32_t max = UINT32_MAX,
-                        const char* limit = "the 32-bit field") {
-  const std::uint64_t x = parse_u64(v, key);
-  if (x > max)
-    throw std::invalid_argument(key + "=" + std::string(v) +
-                                " out of range: at most " +
-                                std::to_string(max) + " (" + limit + ")");
-  return static_cast<std::uint32_t>(x);
-}
-
-constexpr const char* kValidKeys =
-    "ports, vcs, link_bps, flit_bits, phit_bits, buffer_flits, levels, "
-    "link_latency, credit_latency, round_multiple, concurrency_factor, "
-    "priority, arbiter, seed, warmup, measure, fault, flow, audit, police, "
-    "rogue, trace, snap, qd, net_threads";
 
 /// Largest accepted net_threads: far above any real machine, small enough
 /// to catch a mistyped value before it allocates per-shard state.
@@ -143,95 +111,50 @@ constexpr std::uint32_t kMaxNetThreads = 4096;
 
 std::vector<std::string> apply_overrides(
     SimConfig& config, const std::vector<std::string>& overrides) {
+  const opt::Field net_threads{"net_threads", [&config](const opt::Token& t) {
+    config.net_threads =
+        t.value == "hw"
+            ? std::max(1u, std::thread::hardware_concurrency())
+            : static_cast<std::uint32_t>(t.unsigned_int(
+                  {kMaxNetThreads, "kMaxNetThreads, or 'hw'"}));
+  }};
+  const opt::Limit latency{kMaxLatency, "kMaxLatency, mmr/sim/config.hpp"};
+  const opt::Grammar grammar(
+      "config",
+      {opt::u32("ports", config.ports,
+                {kMaxPorts, "kMaxPorts, mmr/sim/config.hpp", 1}),
+       opt::u32("vcs", config.vcs_per_link),
+       opt::real("link_bps", config.link_bandwidth_bps,
+                 {0.0, HUGE_VAL, /*min_open=*/true}),
+       opt::u32("flit_bits", config.flit_bits),
+       opt::u32("phit_bits", config.phit_bits),
+       opt::u32("buffer_flits", config.buffer_flits_per_vc),
+       opt::u32("levels", config.candidate_levels,
+                {kMaxCandidateLevels, "kMaxCandidateLevels, mmr/sim/config.hpp"}),
+       opt::u64("link_latency", config.link_latency, latency),
+       opt::u64("credit_latency", config.credit_latency, latency),
+       opt::u32("round_multiple", config.round_multiple),
+       opt::real("concurrency_factor", config.concurrency_factor, {1.0}),
+       opt::choice("priority", config.priority_scheme,
+                   {PriorityScheme::kSiabp, PriorityScheme::kIabp,
+                    PriorityScheme::kFifoAge, PriorityScheme::kStatic}),
+       opt::text("arbiter", config.arbiter),
+       opt::u64("seed", config.seed),
+       opt::u64("warmup", config.warmup_cycles),
+       opt::u64("measure", config.measure_cycles),
+       opt::text("fault", config.fault_spec),
+       opt::text("flow", config.flow_spec),
+       opt::u32("audit", config.audit_every),
+       opt::text("police", config.police_spec),
+       opt::text("rogue", config.rogue_spec),
+       opt::text("trace", config.trace_spec),
+       opt::text("snap", config.snap_spec),
+       opt::text("qd", config.qd_spec),
+       net_threads},
+      '=');
   std::vector<std::string> applied;
-  for (const std::string& kv : overrides) {
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos)
-      throw std::invalid_argument("override must be key=value: " + kv);
-    const std::string key = kv.substr(0, eq);
-    const std::string value = kv.substr(eq + 1);
-    if (key == "ports") {
-      const std::uint64_t ports = parse_u64(value, key);
-      // Reject unrepresentable port counts here, at parse time, with the
-      // limit in the message — not deep inside arbiter construction.
-      if (ports < 1 || ports > kMaxPorts)
-        throw std::invalid_argument(
-            "ports=" + value + " out of range: arbiters represent 1.." +
-            std::to_string(kMaxPorts) +
-            " ports (kMaxPorts, mmr/sim/config.hpp)");
-      config.ports = static_cast<std::uint32_t>(ports);
-    } else if (key == "vcs") {
-      config.vcs_per_link = parse_u32(value, key);
-    } else if (key == "link_bps") {
-      const double bps = parse_double(value, key);
-      if (bps <= 0.0)
-        throw std::invalid_argument("link_bps must be positive, got: " + value);
-      config.link_bandwidth_bps = bps;
-    } else if (key == "flit_bits") {
-      config.flit_bits = parse_u32(value, key);
-    } else if (key == "phit_bits") {
-      config.phit_bits = parse_u32(value, key);
-    } else if (key == "buffer_flits") {
-      config.buffer_flits_per_vc = parse_u32(value, key);
-    } else if (key == "levels") {
-      config.candidate_levels =
-          parse_u32(value, key, kMaxCandidateLevels,
-                    "kMaxCandidateLevels, mmr/sim/config.hpp");
-    } else if (key == "link_latency") {
-      config.link_latency = parse_u64(value, key);
-    } else if (key == "credit_latency") {
-      config.credit_latency = parse_u64(value, key);
-    } else if (key == "round_multiple") {
-      config.round_multiple = parse_u32(value, key);
-    } else if (key == "concurrency_factor") {
-      const double factor = parse_double(value, key);
-      if (factor < 1.0)
-        throw std::invalid_argument("concurrency_factor must be >= 1, got: " +
-                                    value);
-      config.concurrency_factor = factor;
-    } else if (key == "priority") {
-      config.priority_scheme = priority_scheme_from_string(value);
-    } else if (key == "arbiter") {
-      config.arbiter = value;
-    } else if (key == "seed") {
-      config.seed = parse_u64(value, key);
-    } else if (key == "warmup") {
-      config.warmup_cycles = parse_u64(value, key);
-    } else if (key == "measure") {
-      config.measure_cycles = parse_u64(value, key);
-    } else if (key == "fault") {
-      config.fault_spec = value;
-    } else if (key == "flow") {
-      config.flow_spec = value;
-    } else if (key == "police") {
-      config.police_spec = value;
-    } else if (key == "rogue") {
-      config.rogue_spec = value;
-    } else if (key == "trace") {
-      config.trace_spec = value;
-    } else if (key == "snap") {
-      config.snap_spec = value;
-    } else if (key == "qd") {
-      config.qd_spec = value;
-    } else if (key == "net_threads") {
-      if (value == "hw") {
-        config.net_threads = std::max(1u, std::thread::hardware_concurrency());
-      } else {
-        const std::uint64_t threads = parse_u64(value, key);
-        if (threads > kMaxNetThreads)
-          throw std::invalid_argument(
-              "net_threads=" + value + " out of range: expected 0.." +
-              std::to_string(kMaxNetThreads) + " or 'hw'");
-        config.net_threads = static_cast<std::uint32_t>(threads);
-      }
-    } else if (key == "audit") {
-      config.audit_every = parse_u32(value, key);
-    } else {
-      throw std::invalid_argument("unknown config key '" + key +
-                                  "'; valid keys: " + kValidKeys);
-    }
-    applied.push_back(key);
-  }
+  for (const std::string& kv : overrides)
+    applied.emplace_back(grammar.apply(kv));
   return applied;
 }
 

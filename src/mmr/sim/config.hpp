@@ -34,6 +34,11 @@ inline constexpr std::uint32_t kMaxPorts = 1024;
 /// Larger values are rejected at parse time (apply_overrides).
 inline constexpr std::uint32_t kMaxCandidateLevels = 64;
 
+/// Largest link_latency / credit_latency, cycles: far beyond any link, and
+/// small enough that `now + latency` cannot wrap and the MMU's derived
+/// headroom (credit + link latency + 2) fits 32 bits.
+inline constexpr Cycle kMaxLatency = 1'000'000;
+
 struct SimConfig {
   // --- geometry -----------------------------------------------------------
   std::uint32_t ports = 4;            ///< physical input = output links
@@ -143,18 +148,6 @@ struct SimConfig {
   [[nodiscard]] Cycle total_cycles() const {
     return warmup_cycles + measure_cycles;
   }
-  /// True when flow= selects the shared-buffer MMU regime.  (Cheap prefix
-  /// test; full parsing and validation live in mmr::mmu::MmuSpec, above
-  /// this layer.)
-  [[nodiscard]] bool shared_flow() const {
-    return flow_spec.rfind("shared", 0) == 0;
-  }
-  /// True when qd= selects the paper's per-VC discipline (the default).
-  /// Cheap test; full parsing and validation live in mmr::QdSpec.
-  [[nodiscard]] bool vc_discipline() const {
-    return qd_spec.empty() || qd_spec == "vc";
-  }
-
   /// Aborts with a readable message when a field combination is nonsense.
   void validate() const;
 
@@ -165,11 +158,17 @@ struct SimConfig {
   /// `rogue=`, `audit=`) — so drivers can print the message and exit 1
   /// instead of dying on an assert or silently ignoring the key.
   void validate_network() const;
+
+  /// validate() plus the mirror constraint of a single-router run: throws
+  /// std::invalid_argument (message prefixed "error:") when `fault=` is set,
+  /// because only the multi-router network runs the fault injector.
+  void validate_single_router() const;
 };
 
-/// Applies "key=value" overrides (e.g. from bench argv) to a config.
-/// Unknown keys raise an error listing the valid keys.  Returns the keys that
-/// were applied.
+/// Applies "key=value" overrides (e.g. from bench argv) to a config, through
+/// the shared option grammar (mmr/sim/spec_grammar.hpp).  Unknown keys raise
+/// an error listing the valid keys; a rejected override leaves its field
+/// untouched.  Returns the keys that were applied.
 std::vector<std::string> apply_overrides(
     SimConfig& config, const std::vector<std::string>& overrides);
 

@@ -1,78 +1,24 @@
 #include "mmr/snapshot/spec.hpp"
 
-#include <charconv>
 #include <stdexcept>
 #include <type_traits>
-#include <vector>
 
 #include "mmr/sim/assert.hpp"
 #include "mmr/sim/config.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 #include "mmr/snapshot/format.hpp"
 
 namespace mmr::snapshot {
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in snap spec token: " +
-                                token);
-  return x;
-}
-
-}  // namespace
-
 SnapSpec SnapSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty snap spec (omit snap= instead)");
   SnapSpec parsed;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    const std::size_t colon = token.find(':');
-    if (colon == std::string::npos)
-      throw std::invalid_argument("snap spec token must be key:value: " +
-                                  token);
-    const std::string key = token.substr(0, colon);
-    const std::string value = token.substr(colon + 1);
-    if (key == "every") {
-      parsed.every = parse_u64(value, token);
-    } else if (key == "hash_every") {
-      parsed.hash_every = parse_u64(value, token);
-    } else if (key == "prefix") {
-      parsed.prefix = value;
-    } else if (key == "hash_out") {
-      parsed.hash_out = value;
-    } else if (key == "resume") {
-      parsed.resume = value;
-    } else if (key == "crash") {
-      const std::uint64_t flag = parse_u64(value, token);
-      if (flag > 1)
-        throw std::invalid_argument("snap spec crash: must be 0 or 1");
-      parsed.on_crash = flag != 0;
-    } else {
-      throw std::invalid_argument(
-          "unknown snap spec token '" + token +
-          "'; expected every, hash_every, prefix, hash_out, resume, crash");
-    }
-  }
+  opt::Grammar("snap spec", {opt::u64("every", parsed.every),
+                             opt::u64("hash_every", parsed.hash_every),
+                             opt::text("prefix", parsed.prefix),
+                             opt::text("hash_out", parsed.hash_out),
+                             opt::text("resume", parsed.resume),
+                             opt::flag("crash", parsed.on_crash)})
+      .parse(spec);
   parsed.validate();
   return parsed;
 }

@@ -1,10 +1,7 @@
 #include "mmr/trace/spec.hpp"
 
-#include <charconv>
-#include <stdexcept>
-#include <vector>
-
 #include "mmr/sim/assert.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr::trace {
 
@@ -16,83 +13,19 @@ const char* to_string(TraceSpec::Mode mode) {
   return "?";
 }
 
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  while (begin <= text.size()) {
-    const std::size_t end = text.find(sep, begin);
-    if (end == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      break;
-    }
-    parts.push_back(text.substr(begin, end - begin));
-    begin = end + 1;
-  }
-  return parts;
-}
-
-std::uint64_t parse_u64(const std::string& value, const std::string& token) {
-  std::uint64_t x = 0;
-  const auto [p, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), x);
-  if (ec != std::errc{} || p != value.data() + value.size())
-    throw std::invalid_argument("bad integer value in trace spec token: " +
-                                token);
-  return x;
-}
-
-/// Splits "key:value"; throws when there is no colon.
-std::pair<std::string, std::string> key_value(const std::string& token) {
-  const std::size_t colon = token.find(':');
-  if (colon == std::string::npos)
-    throw std::invalid_argument("trace spec token must be key:value: " + token);
-  return {token.substr(0, colon), token.substr(colon + 1)};
-}
-
-}  // namespace
-
 TraceSpec TraceSpec::parse(const std::string& spec) {
-  if (spec.empty())
-    throw std::invalid_argument("empty trace spec (omit trace= instead)");
   TraceSpec parsed;
-  bool mode_seen = false;
-  for (const std::string& token : split(spec, ',')) {
-    if (token.empty()) continue;
-    if (token == "stream" || token == "flight") {
-      if (mode_seen)
-        throw std::invalid_argument("trace spec names two modes: " + spec);
-      mode_seen = true;
-      parsed.mode =
-          token == "stream" ? TraceSpec::Mode::kStream : TraceSpec::Mode::kFlight;
-      continue;
-    }
-    const auto [key, value] = key_value(token);
-    if (key == "out") {
-      parsed.out = value;
-    } else if (key == "chrome") {
-      parsed.chrome = value;
-    } else if (key == "summary") {
-      parsed.summary = value;
-    } else if (key == "dump") {
-      parsed.dump_prefix = value;
-    } else if (key == "ring") {
-      parsed.ring = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else if (key == "limit") {
-      parsed.limit = parse_u64(value, token);
-    } else if (key == "dumps") {
-      parsed.max_dumps = static_cast<std::uint32_t>(parse_u64(value, token));
-    } else {
-      throw std::invalid_argument(
-          "unknown trace spec token '" + token +
-          "'; expected stream|flight, out, chrome, summary, dump, ring, "
-          "limit, dumps");
-    }
-  }
-  if (!mode_seen)
-    throw std::invalid_argument(
-        "trace spec must name a mode (stream|flight): " + spec);
+  opt::Grammar("trace spec",
+               {opt::text("out", parsed.out),
+                opt::text("chrome", parsed.chrome),
+                opt::text("summary", parsed.summary),
+                opt::text("dump", parsed.dump_prefix),
+                opt::u32("ring", parsed.ring),
+                opt::u64("limit", parsed.limit),
+                opt::u32("dumps", parsed.max_dumps)})
+      .head(parsed.mode, {TraceSpec::Mode::kStream, TraceSpec::Mode::kFlight},
+            /*leading=*/false)
+      .parse(spec);
   parsed.validate();
   return parsed;
 }

@@ -248,6 +248,75 @@ TEST(SimConfig, ValidateNetworkRejectsSingleRouterOnlyKeys) {
   config.validate_network();  // audit=0 is "off": nothing to ignore
 }
 
+// credit_latency / link_latency used to take any u64: `now + latency`
+// wrapped in CreditManager::release / LinkPipeline::push and a run with
+// credit_latency=2^64-1 printed the default run's table.  Both now stop at
+// kMaxLatency, at parse time and in validate().
+TEST(SimConfig, RejectsLatenciesThatWouldWrapTheCycleClock) {
+  for (const char* key : {"credit_latency", "link_latency"}) {
+    const std::string what =
+        override_error(std::string(key) + "=18446744073709551615");
+    EXPECT_NE(what.find(std::string(key) +
+                        "=18446744073709551615 out of range"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("kMaxLatency"), std::string::npos) << what;
+    EXPECT_EQ(override_error(std::string(key) + "=" +
+                             std::to_string(kMaxLatency)),
+              "");
+  }
+}
+
+TEST(SimConfigDeath, ValidateRejectsLatencyBeyondTheLimit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SimConfig config;
+  config.credit_latency = kMaxLatency + 1;
+  EXPECT_DEATH(config.validate(), "kMaxLatency");
+  config = SimConfig{};
+  config.link_latency = kMaxLatency + 1;
+  EXPECT_DEATH(config.validate(), "kMaxLatency");
+}
+
+// validate_network() reads the head word the way MmuSpec and QdSpec parse
+// it: "qd=vc," is the per-VC discipline (it used to fail a network run as
+// "VOQ/CICQ"), "qd=voq," and ",shared" are not.
+TEST(SimConfig, ValidateNetworkReadsHeadWordsLikeTheSpecParsers) {
+  for (const char* ok : {"qd=vc,", "qd=,vc", "flow=credit,", "flow=,credit"}) {
+    SimConfig config;
+    apply_overrides(config, {ok});
+    EXPECT_NO_THROW(config.validate_network()) << ok;
+  }
+  for (const char* bad : {"qd=voq,", "qd=,cicq", "flow=,shared"}) {
+    SimConfig config;
+    apply_overrides(config, {bad});
+    EXPECT_THROW(config.validate_network(), std::invalid_argument) << bad;
+  }
+}
+
+// fault= is read only by the network engine; a single-router run used to
+// ignore it and print the fault-free result.
+TEST(SimConfig, SingleRouterRunRejectsFaultSpec) {
+  SimConfig config;
+  config.validate_single_router();
+  apply_overrides(config, {"fault=drop:0.5,down:0:10:100000", "measure=200"});
+  try {
+    config.validate_single_router();
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_EQ(what.rfind("error: conflicting keys fault=drop:0.5,down:0:10:"
+                         "100000 with a single-router run",
+                         0),
+              0u)
+        << what;
+  }
+  Rng rng(config.seed, 1);
+  CbrMixSpec spec;
+  spec.target_load = 0.5;
+  EXPECT_THROW(MmrSimulation(config, build_cbr_mix(config, spec, rng)),
+               std::invalid_argument);
+}
+
 TEST(SimConfig, PrioritySchemeRoundTrips) {
   for (PriorityScheme scheme :
        {PriorityScheme::kSiabp, PriorityScheme::kIabp,

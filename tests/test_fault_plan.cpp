@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mmr/fault/fault_injector.hpp"
 
@@ -70,8 +71,24 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_THROW((void)FaultPlan::parse("drop:abc"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("down:0:10"), std::invalid_argument);
   EXPECT_THROW((void)FaultPlan::parse("resync_period"), std::invalid_argument);
+  // nan passed both range comparisons; strtoull wrapped -1 to 2^64-1.
+  EXPECT_THROW((void)FaultPlan::parse("drop:nan"), std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("seed:-1"), std::invalid_argument);
   // The empty spec parses to the empty plan.
   EXPECT_TRUE(FaultPlan::parse("").empty());
+}
+
+TEST(FaultPlan, DownChannelIsChecked32Bit) {
+  try {
+    (void)FaultPlan::parse("down:4294967296:10:20");
+    FAIL() << "expected invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("fault spec", 0), 0u) << what;
+    EXPECT_NE(what.find("at most 4294967295"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)FaultPlan::parse("down:0:10:20:30"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlanDeath, ValidateCatchesNonsense) {

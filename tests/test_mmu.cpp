@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mmr/core/simulation.hpp"
@@ -74,6 +75,20 @@ TEST(MmuSpecParse, RejectsBadModeKeysAndCreditPoolKeys) {
   EXPECT_THROW((void)MmuSpec::parse("shared,pool:abc"), std::invalid_argument);
   // Pool/pause geometry is meaningless without the shared regime.
   EXPECT_THROW((void)MmuSpec::parse("credit,pool:64"), std::invalid_argument);
+}
+
+// 32-bit keys used to truncate: reserved:4294967296 silently ran as 0.
+TEST(MmuSpecParse, Rejects32BitOverflowInsteadOfTruncating) {
+  for (const char* key : {"reserved", "headroom", "xoff", "xon"}) {
+    try {
+      (void)MmuSpec::parse(std::string("shared,") + key + ":4294967296");
+      FAIL() << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("flow spec: " + std::string(key), 0), 0u) << what;
+      EXPECT_NE(what.find("at most 4294967295"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(MmuSpecResolve, DerivesDocumentedDefaults) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "mmr/core/simulation.hpp"
 #include "mmr/overload/policer.hpp"
@@ -54,6 +55,26 @@ TEST(RogueSpec, ParsesAndValidates) {
   EXPECT_THROW((void)RogueSpec::parse("frac:0.5,nope:1"),
                std::invalid_argument);
   EXPECT_THROW((void)RogueSpec::parse("class:wifi"), std::invalid_argument);
+}
+
+// 32-bit keys used to truncate (count:4294967296 ran as 0) or, for
+// penalty:4294967296, die on an MMR_ASSERT instead of a parse error.
+TEST(OverloadSpecs, Reject32BitOverflowInsteadOfTruncating) {
+  const auto expect_limit = [](const auto& parse, const std::string& spec) {
+    try {
+      (void)parse(spec);
+      FAIL() << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  const auto police = [](const std::string& s) { return PoliceSpec::parse(s); };
+  for (const char* key : {"penalty", "wd_escalate", "wd_recover"})
+    expect_limit(police, std::string("drop,") + key + ":4294967296");
+  expect_limit([](const std::string& s) { return RogueSpec::parse(s); },
+               "count:4294967296");
 }
 
 // ---------------------------------------------------------------------------

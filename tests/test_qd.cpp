@@ -71,6 +71,20 @@ TEST(QdSpec, MalformedSpecsThrowAtParse) {
   expect_error("voq,xp:4");           // cicq-only key on voq
 }
 
+// xp:4294967297 used to run byte-identical to xp:1 (truncation).
+TEST(QdSpec, Rejects32BitOverflowInsteadOfTruncating) {
+  for (const char* key : {"xp", "thresh"}) {
+    try {
+      (void)QdSpec::parse(std::string("cicq,") + key + ":4294967297");
+      FAIL() << key;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("qd spec", 0), 0u) << what;
+      EXPECT_NE(what.find("at most 4294967295"), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(QdSpecDeath, DegenerateCicqGeometryAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH((void)QdSpec::parse("cicq,xp:0"),

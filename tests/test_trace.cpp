@@ -81,6 +81,20 @@ TEST(TraceSpec, ParseRejectsMalformedInput) {
                std::invalid_argument);
 }
 
+// 2^32 + 16 used to truncate to a valid 16.
+TEST(TraceSpec, Rejects32BitOverflowInsteadOfTruncating) {
+  for (const char* key : {"ring", "dumps"}) {
+    try {
+      (void)TraceSpec::parse(std::string("flight,") + key + ":4294967312");
+      FAIL() << key;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 4294967295"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(TraceScopeTest, ArmsPerThreadAndNests) {
   EXPECT_EQ(trace::current(), nullptr);
   Tracer outer(TraceSpec::parse("stream"), tiny_meta());
