@@ -6,18 +6,27 @@
 //   arbiters=coa,wfa    arbiters to compare
 //   threads=N           parallel sweep workers (0 = hardware)
 //   full=1              paper-scale cycle counts (also via MMR_FULL=1)
+// A rejected argument prints `error: ...` and exits with status 1.
 #pragma once
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mmr/core/experiment.hpp"
 #include "mmr/core/report.hpp"
+#include "mmr/sim/spec_grammar.hpp"
 
 namespace mmr::bench {
+
+/// Largest accepted threads=: far above any real machine, small enough to
+/// catch a mistyped value before the sweep pool sizes itself by it.
+inline constexpr std::uint64_t kMaxBenchThreads = 1024;
 
 struct BenchArgs {
   std::vector<double> loads;
@@ -35,42 +44,77 @@ inline std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
+/// Runs `step`; a rejected argument ends the bench as the examples end:
+/// `error: ...` on stderr and exit status 1.
+template <typename Fn>
+void exit_on_error(Fn&& step) {
+  try {
+    step();
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    std::cerr << (what.rfind("error:", 0) == 0 ? "" : "error: ") << what
+              << '\n';
+    std::exit(1);
+  }
+}
+
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   if (const char* env = std::getenv("MMR_FULL");
       env != nullptr && std::string(env) == "1") {
     args.full = true;
   }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "loads") {
-      args.loads.clear();
-      for (const std::string& part : split(value, ',')) {
-        args.loads.push_back(std::stod(part));
-      }
-    } else if (key == "arbiters") {
-      args.arbiters = split(value, ',');
-    } else if (key == "threads") {
-      args.threads = std::stoul(value);
-    } else if (key == "full") {
-      args.full = value != "0";
-    } else {
-      args.config_overrides.push_back(arg);
+  const opt::Field loads{"loads", [&args](const opt::Token& t) {
+    args.loads.clear();
+    for (const std::string& part : split(std::string(t.value), ',')) {
+      double load = 0.0;
+      opt::real("loads", load, {0.0, std::numeric_limits<double>::max(), true})
+          .apply({t.grammar, t.key, part, t.sep});
+      args.loads.push_back(load);
     }
-  }
+  }};
+  const opt::Field arbiters{"arbiters", [&args](const opt::Token& t) {
+    args.arbiters = split(std::string(t.value), ',');
+  }};
+  std::uint64_t threads = 0;
+  const opt::Grammar grammar(
+      "bench",
+      {loads, arbiters,
+       opt::u64("threads", threads,
+                {kMaxBenchThreads, "kMaxBenchThreads, bench/bench_util.hpp"})},
+      '=');
+  exit_on_error([&] {
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const std::string_view key = arg.substr(0, arg.find('='));
+      if (key == "loads" || key == "arbiters" || key == "threads") {
+        grammar.apply(arg);
+      } else if (key == "full") {
+        args.full = arg != "full=0";
+      } else {
+        args.config_overrides.emplace_back(arg);
+      }
+    }
+  });
+  args.threads = static_cast<std::size_t>(threads);
   return args;
 }
 
-/// Applies run-length presets and user overrides to a config.
+/// Applies run-length presets and user overrides to a config.  Single-router
+/// benches reject network-only keys (fault=); `network` benches keep them.
 inline void apply_run_scale(SimConfig& config, const BenchArgs& args,
-                            Cycle quick_measure, Cycle full_measure) {
+                            Cycle quick_measure, Cycle full_measure,
+                            bool network = false) {
   config.warmup_cycles = args.full ? 50'000 : 20'000;
   config.measure_cycles = args.full ? full_measure : quick_measure;
-  apply_overrides(config, args.config_overrides);
-  config.validate();
+  exit_on_error([&] {
+    apply_overrides(config, args.config_overrides);
+    if (network) {
+      config.validate();
+    } else {
+      config.validate_single_router();
+    }
+  });
 }
 
 inline void print_header(const std::string& title, const SweepSpec& spec,

@@ -45,7 +45,8 @@ int run_bench(int argc, char** argv) {
   });
 
   SimConfig base;
-  bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000);
+  bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000,
+                         /*network=*/true);
 
   const NetworkTopology ring =
       NetworkTopology::bidirectional_ring(routers, base.ports);

@@ -47,6 +47,8 @@ expect_error ring ./build/examples/quickstart trace=flight,ring:4294967296
 expect_error crash ./build/examples/quickstart snap=crash:2
 expect_error drop ./build/examples/cluster_ring fault=drop:nan
 expect_error fault= ./build/examples/quickstart fault=drop:0.5,down:0:10:100000
+expect_error loads ./build/bench/fig5_cbr_delay loads=abc
+expect_error ports ./build/bench/incast_survival ports=abc
 
 echo
 echo "=== tier-2 soaks (arbiter audit, overload protection, MMU; 200 seeds each) ==="

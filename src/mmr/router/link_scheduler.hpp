@@ -3,6 +3,12 @@
 // biased priorities.  Level 0 is the top-priority candidate.  Queue ages are
 // measured in router (phit) cycles since the head flit entered the VCM, as
 // SIABP's hardware counters do.
+//
+// Selection reads the VC memory's ready index (DESIGN.md §19): occupied
+// VCs grouped by distinct QoS constants, each group ordered oldest head
+// first.  Every biasing function is monotone in age for fixed constants,
+// so within a group that order already is the priority order, and the
+// exact top-L needs only each group's leading entries.
 #pragma once
 
 #include <functional>
@@ -11,6 +17,7 @@
 #include "mmr/arbiter/candidate.hpp"
 #include "mmr/qos/priority.hpp"
 #include "mmr/router/vcm.hpp"
+#include "mmr/sim/assert.hpp"
 
 namespace mmr {
 
@@ -27,7 +34,15 @@ class LinkScheduler {
   /// networks gate on downstream buffer credit; nullptr = all eligible).
   using Eligibility = std::function<bool(std::uint32_t vc)>;
 
-  /// Appends this port's candidates (up to `levels`) to `out`.
+  /// Builds this port's QoS group table (one group per distinct
+  /// QosParams value, the demotion constants included) and binds `vcm`'s
+  /// VCs to it.  Call once the demotion constants are set, and again after
+  /// a checkpoint load.  O(VCs).
+  void bind(VirtualChannelMemory& vcm);
+
+  /// Appends this port's candidates (up to `levels`) to `out`: the same
+  /// top-L, in the same order, as ranking every eligible occupied VC by
+  /// (biased priority desc, head arrival asc, vc asc).  `vcm` must be bound.
   void select(const VirtualChannelMemory& vcm, Cycle now, CandidateSet& out,
               const Eligibility* eligible = nullptr) const;
 
@@ -36,18 +51,28 @@ class LinkScheduler {
                                        std::uint32_t vc, Cycle now) const;
 
   /// Rebinds `vc` to a new connection (fault recovery: a torn-down
-  /// connection is re-admitted on a fresh VC of its rerouted path).
-  void set_vc(std::uint32_t vc, std::uint32_t output, QosParams qos);
+  /// connection is re-admitted on a fresh VC of its rerouted path) and
+  /// moves it to its new group in the bound `vcm`.
+  void set_vc(std::uint32_t vc, std::uint32_t output, QosParams qos,
+              VirtualChannelMemory& vcm);
 
   /// Priority constants applied to head flits carrying the `demoted` flag
   /// (overload policing): the claim of a minimal best-effort reservation.
-  void set_demoted_qos(QosParams qos) { demoted_qos_ = qos; }
+  /// Set before bind().
+  void set_demoted_qos(QosParams qos) {
+    MMR_ASSERT_MSG(groups_.empty(), "demotion constants set after bind");
+    demoted_qos_ = qos;
+  }
   [[nodiscard]] const QosParams& demoted_qos() const { return demoted_qos_; }
 
   [[nodiscard]] std::uint32_t levels() const { return levels_; }
 
+  /// Checks that `vcm`'s group bindings name this scheduler's constants.
+  void check_binding(const VirtualChannelMemory& vcm) const;
+
   /// Checkpoint walk: the VC bindings (mutable via set_vc during fault
-  /// recovery) and the demotion constants.
+  /// recovery) and the demotion constants.  The group table is derived:
+  /// not walked, rebuilt by bind() after a load.
   void snap(snapshot::Walker& w);
 
  private:
@@ -58,6 +83,7 @@ class LinkScheduler {
   std::vector<std::uint32_t> output_of_vc_;
   std::vector<QosParams> qos_of_vc_;
   QosParams demoted_qos_{1, 1.0};
+  std::vector<QosParams> groups_;  ///< group -> its QoS constants
 };
 
 }  // namespace mmr

@@ -58,6 +58,7 @@ MmrRouter::MmrRouter(const SimConfig& config, const ConnectionTable& table,
                                     std::move(output_of_vc),
                                     std::move(qos_of_vc));
       link_schedulers_.back().set_demoted_qos(demoted);
+      link_schedulers_.back().bind(vcms_.back());
     }
     return;
   }
@@ -312,7 +313,7 @@ void MmrRouter::install_vc(std::uint32_t input, std::uint32_t vc,
   MMR_ASSERT(input < ports_);
   MMR_ASSERT(output < ports_);
   if (qd_.discipline == QueueDiscipline::kVc) {
-    link_schedulers_[input].set_vc(vc, output, qos);
+    link_schedulers_[input].set_vc(vc, output, qos, vcms_[input]);
     return;
   }
   voq_output_of_vc_[input][vc] = output;
@@ -362,9 +363,10 @@ std::uint32_t MmrRouter::vc_occupancy(std::uint32_t input,
 
 void MmrRouter::check_invariants() const {
   std::uint64_t buffered = 0;
-  for (const VirtualChannelMemory& vcm : vcms_) {
-    vcm.check_invariants();
-    buffered += vcm.total_flits();
+  for (std::size_t port = 0; port < vcms_.size(); ++port) {
+    vcms_[port].check_invariants();
+    link_schedulers_[port].check_binding(vcms_[port]);
+    buffered += vcms_[port].total_flits();
   }
   for (const VoqMemory& voq : voqs_) {
     voq.check_invariants();
@@ -384,6 +386,12 @@ void MmrRouter::snap(snapshot::Walker& w) {
   // different discipline).
   for (VirtualChannelMemory& vcm : vcms_) vcm.snap(w);
   for (LinkScheduler& scheduler : link_schedulers_) scheduler.snap(w);
+  if (w.loading()) {
+    // Group tables follow the loaded VC bindings (install_vc may have
+    // changed them since construction).
+    for (std::size_t port = 0; port < vcms_.size(); ++port)
+      link_schedulers_[port].bind(vcms_[port]);
+  }
   for (VoqMemory& voq : voqs_) voq.snap(w);
   for (VoqScheduler& scheduler : voq_schedulers_) scheduler.snap(w);
   if (cicq_ != nullptr) cicq_->snap(w);

@@ -4,8 +4,14 @@
 // transparent (the address generator guarantees conflict-free access for
 // one enqueue + one dequeue per cycle); we model the per-bank occupancy for
 // inspection but storage behaves as per-VC FIFOs, pooled per port.
+//
+// The memory also keeps the link scheduler's ready index (DESIGN.md §19):
+// its occupied VCs sorted by (QoS group, head arrival, vc), updated only
+// when a VC's head changes.  Group numbers are bound by the link scheduler;
+// the memory only files heads under them.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "mmr/router/fifo_pool.hpp"
@@ -42,6 +48,32 @@ class VirtualChannelMemory {
   [[nodiscard]] const std::vector<std::uint32_t>& occupied_vcs() const {
     return occupied_;
   }
+
+  /// Group of VCs not yet bound to one.
+  static constexpr std::uint32_t kNoGroup =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// One occupied VC in the ready index: the QoS group its head competes
+  /// in (the demoted group for a demoted head, else the VC's bound group)
+  /// and the cycle that head arrived.
+  struct ReadyEntry {
+    Cycle arrived;
+    std::uint32_t group;
+    std::uint32_t vc;
+  };
+  /// Every occupied VC once, sorted by (group, arrival, vc).
+  [[nodiscard]] const std::vector<ReadyEntry>& ready() const { return ready_; }
+
+  /// Binds every VC's group (`group_of_vc[vc]`) and the group demoted heads
+  /// join, then rebuilds the ready index.
+  void bind_groups(const std::vector<std::uint32_t>& group_of_vc,
+                   std::uint32_t demoted_group);
+  /// Rebinds one VC's group, moving its head if it is queued under it.
+  void rebind_group(std::uint32_t vc, std::uint32_t group);
+  [[nodiscard]] std::uint32_t bound_group(std::uint32_t vc) const {
+    return vc_state_[vc].group;
+  }
+  [[nodiscard]] std::uint32_t demoted_group() const { return demoted_group_; }
   [[nodiscard]] std::uint64_t total_flits() const { return total_; }
 
   /// Words (flit slots) currently used per RAM bank; banks are assigned
@@ -53,7 +85,8 @@ class VirtualChannelMemory {
   void check_invariants() const;
 
   /// Checkpoint walk: per-VC FIFOs (flits + arrival stamps + bank tags),
-  /// bank occupancy, the occupied-VC index, and counters.
+  /// bank occupancy, the occupied-VC index, and counters.  The ready index
+  /// and group bindings are derived state: not walked, rebuilt on load.
   void snap(snapshot::Walker& w);
 
  private:
@@ -63,12 +96,30 @@ class VirtualChannelMemory {
     std::uint32_t bank;
   };
 
+  /// Per-VC bookkeeping in one 16-byte record, so push and pop touch one
+  /// per-VC line beside the FIFO header.
+  struct VcState {
+    std::uint64_t pushes = 0;        ///< drives bank interleave
+    std::int32_t occupied_pos = -1;  ///< index in occupied_, -1 if empty
+    std::uint32_t group = kNoGroup;  ///< bound QoS group
+  };
+
+  [[nodiscard]] ReadyEntry ready_entry(std::uint32_t vc,
+                                       const Slot& head) const;
+  void ready_insert(const ReadyEntry& entry);
+  /// The entry equal to `entry`, which must be present.
+  std::vector<ReadyEntry>::iterator ready_find(const ReadyEntry& entry);
+  /// Moves `from` (present) to `to`'s sorted place in one shift.
+  void ready_move(const ReadyEntry& from, const ReadyEntry& to);
+  void rebuild_ready();
+
   std::uint32_t capacity_;
   FifoPool<Slot> fifos_;  ///< one FIFO per VC
-  std::vector<std::uint64_t> pushes_per_vc_;  ///< drives bank interleave
+  std::vector<VcState> vc_state_;
   std::vector<std::uint32_t> bank_used_;
   std::vector<std::uint32_t> occupied_;
-  std::vector<std::int32_t> occupied_pos_;  ///< vc -> index in occupied_
+  std::vector<ReadyEntry> ready_;
+  std::uint32_t demoted_group_ = kNoGroup;
   std::uint64_t total_ = 0;
 };
 

@@ -1,12 +1,8 @@
 #include "mmr/router/voq.hpp"
 
-#include <algorithm>
-
+#include "mmr/router/top_candidates.hpp"
 #include "mmr/sim/assert.hpp"
-#include "mmr/sim/config.hpp"
 #include "mmr/snapshot/walker.hpp"
-#include "mmr/trace/event.hpp"
-#include "mmr/trace/tracer.hpp"
 
 namespace mmr {
 
@@ -146,53 +142,16 @@ Priority VoqScheduler::head_priority(const VoqMemory& voq,
 
 void VoqScheduler::select(const VoqMemory& voq, Cycle now, CandidateSet& out,
                           const Eligibility* eligible) const {
-  struct Entry {
-    Priority priority;
-    Cycle arrived;
-    std::uint32_t vc;
-    std::uint32_t output;
-  };
-  // Top-L selection with the link scheduler's comparator: the head flit's
-  // VC breaks ties exactly as it would competing from a per-VC queue.
-  Entry best[kMaxCandidateLevels];
-  MMR_ASSERT_MSG(levels_ <= kMaxCandidateLevels,
-                 "candidate levels beyond selection buffer");
-  std::uint32_t filled = 0;
-
-  auto better = [](const Entry& a, const Entry& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.arrived != b.arrived) return a.arrived < b.arrived;
-    return a.vc < b.vc;
-  };
-
+  // The link scheduler's top-L policy over VOQ heads: the head flit's VC
+  // breaks ties exactly as it would competing from a per-VC queue.  At most
+  // `outputs` heads, so a plain scan.
+  TopCandidates best(levels_);
   for (std::uint32_t output : voq.occupied_outputs()) {
     const VoqMemory::Slot& slot = voq.head(output);
     if (eligible != nullptr && !(*eligible)(slot.vc)) continue;
-    Entry entry{head_priority(voq, output, now), slot.arrived, slot.vc,
-                output};
-    if (filled == levels_ && !better(entry, best[filled - 1])) continue;
-    std::uint32_t pos = std::min(filled, levels_ - 1);
-    if (filled < levels_) ++filled;
-    while (pos > 0 && better(entry, best[pos - 1])) {
-      best[pos] = best[pos - 1];
-      --pos;
-    }
-    best[pos] = entry;
+    best.offer({head_priority(voq, output, now), slot.arrived, slot.vc, output});
   }
-
-  for (std::uint32_t level = 0; level < filled; ++level) {
-    Candidate candidate;
-    candidate.input = static_cast<std::uint16_t>(input_port_);
-    candidate.output = static_cast<std::uint16_t>(best[level].output);
-    candidate.level = static_cast<std::uint8_t>(level);
-    candidate.vc = best[level].vc;
-    candidate.priority = best[level].priority;
-    out.add(candidate);
-    MMR_TRACE_EVENT(trace::candidate_event(now, candidate.input,
-                                           candidate.output, candidate.vc,
-                                           candidate.level,
-                                           candidate.priority));
-  }
+  best.emit(input_port_, now, out);
 }
 
 void VoqScheduler::snap(snapshot::Walker& w) {
