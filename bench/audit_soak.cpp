@@ -14,54 +14,33 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "mmr/audit/harness.hpp"
 #include "mmr/snapshot/signals.hpp"
 
-namespace {
-
-std::vector<std::uint32_t> parse_ports_list(const std::string& text) {
-  std::vector<std::uint32_t> ports;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty())
-      ports.push_back(static_cast<std::uint32_t>(std::stoul(item)));
-  }
-  return ports;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace mmr::audit;
+  namespace opt = mmr::opt;
   AuditOptions options;
   options.seeds = 1000;
   std::vector<std::uint32_t> ports_list = {4};
   bool twins = false;
+  const mmr::bench::BenchKeys keys(
+      {opt::u32("seeds", options.seeds),
+       mmr::bench::u32_list("ports", ports_list, mmr::bench::kCount),
+       opt::u32("levels", options.levels,
+                {mmr::kMaxCandidateLevels, "kMaxCandidateLevels", 1}),
+       opt::u32("steps", options.steps),
+       opt::u64("seed_base", options.seed_base)});
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto eat = [&](const char* key) -> const char* {
-      const std::string prefix = std::string(key) + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size()
-                                       : nullptr;
-    };
-    const char* v = nullptr;
-    if ((v = eat("seeds")) != nullptr) {
-      options.seeds = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("ports")) != nullptr) {
-      ports_list = parse_ports_list(v);
+    if (keys.take(arg)) {
       if (ports_list.empty()) {
         std::cerr << "ports= needs a comma-separated list of widths\n";
         return 2;
       }
-    } else if ((v = eat("levels")) != nullptr) {
-      options.levels = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("steps")) != nullptr) {
-      options.steps = static_cast<std::uint32_t>(std::stoul(v));
-    } else if ((v = eat("seed_base")) != nullptr) {
-      options.seed_base = std::stoull(v);
-    } else if ((v = eat("arbiter")) != nullptr) {
-      options.arbiters.push_back(v);
+    } else if (arg.rfind("arbiter=", 0) == 0) {
+      options.arbiters.push_back(arg.substr(8));
     } else if (arg == "twins") {
       twins = true;
     } else {

@@ -9,6 +9,7 @@
 // A rejected argument prints `error: ...` and exits with status 1.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
@@ -58,6 +59,59 @@ void exit_on_error(Fn&& step) {
   }
 }
 
+/// threads=: at most kMaxBenchThreads.
+inline opt::Field threads_field(std::uint64_t& out) {
+  return opt::u64("threads", out,
+                  {kMaxBenchThreads, "kMaxBenchThreads, bench/bench_util.hpp"});
+}
+
+/// A count that must be at least 1 (gops=, trials=, ports=, ...).
+inline constexpr opt::Limit kCount{opt::k32Bit.max, opt::k32Bit.name, 1};
+
+/// A comma-separated list of 32-bit values within `limit`; empty items are
+/// skipped.
+inline opt::Field u32_list(std::string_view key,
+                           std::vector<std::uint32_t>& out,
+                           opt::Limit limit = opt::k32Bit) {
+  return {key, [&out, limit](const opt::Token& t) {
+            out.clear();
+            for (const std::string& part : split(std::string(t.value), ',')) {
+              if (part.empty()) continue;
+              std::uint32_t x = 0;
+              opt::u32(t.key, x, limit).apply({t.grammar, t.key, part, t.sep});
+              out.push_back(x);
+            }
+          }};
+}
+
+/// A bench's own keys, parsed as the `bench` grammar.  A bad value ends the
+/// bench as the examples end: `error: ...` on stderr and exit status 1.
+class BenchKeys {
+ public:
+  explicit BenchKeys(std::vector<opt::Field> fields)
+      : grammar_("bench", fields, '=') {
+    for (const opt::Field& field : fields) keys_.push_back(field.key);
+  }
+
+  /// Applies `arg` if its key is one of these; says whether it was.
+  bool take(std::string_view arg) const {
+    const std::string_view key = arg.substr(0, arg.find('='));
+    if (std::find(keys_.begin(), keys_.end(), key) == keys_.end())
+      return false;
+    exit_on_error([&] { grammar_.apply(arg); });
+    return true;
+  }
+
+  /// Applies, and removes from `args`, every argument these keys name.
+  void take_from(std::vector<std::string>& args) const {
+    std::erase_if(args, [this](const std::string& arg) { return take(arg); });
+  }
+
+ private:
+  opt::Grammar grammar_;
+  std::vector<std::string_view> keys_;
+};
+
 inline BenchArgs parse_args(int argc, char** argv) {
   BenchArgs args;
   if (const char* env = std::getenv("MMR_FULL");
@@ -77,25 +131,16 @@ inline BenchArgs parse_args(int argc, char** argv) {
     args.arbiters = split(std::string(t.value), ',');
   }};
   std::uint64_t threads = 0;
-  const opt::Grammar grammar(
-      "bench",
-      {loads, arbiters,
-       opt::u64("threads", threads,
-                {kMaxBenchThreads, "kMaxBenchThreads, bench/bench_util.hpp"})},
-      '=');
-  exit_on_error([&] {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      const std::string_view key = arg.substr(0, arg.find('='));
-      if (key == "loads" || key == "arbiters" || key == "threads") {
-        grammar.apply(arg);
-      } else if (key == "full") {
-        args.full = arg != "full=0";
-      } else {
-        args.config_overrides.emplace_back(arg);
-      }
+  const BenchKeys keys({loads, arbiters, threads_field(threads)});
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (keys.take(arg)) continue;
+    if (arg.substr(0, arg.find('=')) == "full") {
+      args.full = arg != "full=0";
+    } else {
+      args.config_overrides.emplace_back(arg);
     }
-  });
+  }
   args.threads = static_cast<std::size_t>(threads);
   return args;
 }

@@ -25,15 +25,9 @@ int main(int argc, char** argv) {
   }
   std::uint32_t routers = 4;
   std::string fault_spec;
-  for (const std::string& kv : args.config_overrides) {
-    if (kv.rfind("routers=", 0) == 0) {
-      routers = static_cast<std::uint32_t>(std::stoul(kv.substr(8)));
-    }
-    if (kv.rfind("fault=", 0) == 0) fault_spec = kv.substr(6);
-  }
-  std::erase_if(args.config_overrides, [](const std::string& kv) {
-    return kv.rfind("routers=", 0) == 0 || kv.rfind("fault=", 0) == 0;
-  });
+  bench::BenchKeys({opt::u32("routers", routers),
+                    opt::text("fault", fault_spec)})
+      .take_from(args.config_overrides);
 
   SimConfig base;
   bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000,

@@ -6,6 +6,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "mmr/sim/csv.hpp"
 #include "mmr/sim/rng.hpp"
 #include "mmr/traffic/mpeg.hpp"
@@ -14,11 +15,9 @@ int main(int argc, char** argv) {
   using namespace mmr;
   std::string sequence = "Flower Garden";
   std::uint32_t gops = 4;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("sequence=", 0) == 0) sequence = arg.substr(9);
-    if (arg.rfind("gops=", 0) == 0) gops = static_cast<std::uint32_t>(std::stoul(arg.substr(5)));
-  }
+  const bench::BenchKeys keys({opt::text("sequence", sequence),
+                               opt::u32("gops", gops, bench::kCount)});
+  for (int i = 1; i < argc; ++i) (void)keys.take(argv[i]);
 
   Rng rng(0x5EED, 0xF16);
   const MpegTrace trace =

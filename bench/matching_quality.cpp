@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "mmr/arbiter/factory.hpp"
 #include "mmr/arbiter/maxmatch.hpp"
 #include "mmr/arbiter/verify.hpp"
@@ -43,10 +44,8 @@ mmr::CandidateSet random_candidates(std::uint32_t ports, std::uint32_t levels,
 int main(int argc, char** argv) {
   using namespace mmr;
   std::uint32_t trials = 2000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("trials=", 0) == 0) trials = static_cast<std::uint32_t>(std::stoul(arg.substr(7)));
-  }
+  const bench::BenchKeys keys({opt::u32("trials", trials, bench::kCount)});
+  for (int i = 1; i < argc; ++i) (void)keys.take(argv[i]);
 
   std::cout << "==== Matching quality: mean matching size / maximum matching "
                "====\n"

@@ -12,6 +12,7 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 #include "mmr/snapshot/signals.hpp"
 #include "mmr/snapshot/spec.hpp"
@@ -20,13 +21,10 @@ int main(int argc, char** argv) {
   using namespace mmr;
   std::uint32_t seeds = 200;
   std::string snap_spec;
+  const bench::BenchKeys keys(
+      {opt::u32("seeds", seeds), opt::text("snap", snap_spec)});
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else if (arg.rfind("snap=", 0) == 0) {
-      snap_spec = arg.substr(5);
-    } else {
+    if (!keys.take(argv[i])) {
       std::cerr << "usage: mmu_soak [seeds=N] [snap=SPEC]\n";
       return 2;
     }

@@ -37,12 +37,8 @@ int run_bench(int argc, char** argv) {
                      : std::vector<double>{0.40, 0.60, 0.80};
   }
   std::uint32_t routers = 4;
-  for (const std::string& kv : args.config_overrides) {
-    if (kv.rfind("routers=", 0) == 0) routers = static_cast<std::uint32_t>(std::stoul(kv.substr(8)));
-  }
-  std::erase_if(args.config_overrides, [](const std::string& kv) {
-    return kv.rfind("routers=", 0) == 0;
-  });
+  bench::BenchKeys({opt::u32("routers", routers)})
+      .take_from(args.config_overrides);
 
   SimConfig base;
   bench::apply_run_scale(base, args, /*quick=*/120'000, /*full=*/500'000,

@@ -44,22 +44,15 @@ struct ScaleArgs {
 
 ScaleArgs parse(int argc, char** argv) {
   ScaleArgs args;
+  std::uint64_t threads = args.threads;
+  const bench::BenchKeys keys({opt::text("mode", args.mode),
+                               opt::text("out", args.out),
+                               bench::threads_field(threads)});
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "mode") {
-      args.mode = value;
-    } else if (key == "out") {
-      args.out = value;
-    } else if (key == "threads") {
-      args.threads =
-          std::max(2u, static_cast<std::uint32_t>(std::stoul(value)));
-    } else {
-      args.config_overrides.push_back(arg);
-    }
+    if (!keys.take(argv[i])) args.config_overrides.emplace_back(argv[i]);
   }
+  args.threads =
+      static_cast<std::uint32_t>(std::max<std::uint64_t>(2, threads));
   return args;
 }
 

@@ -34,22 +34,20 @@ struct SoakArgs {
 
 SoakArgs parse(int argc, char** argv) {
   SoakArgs args;
+  std::uint64_t threads = args.threads;
+  const bench::BenchKeys keys(
+      {opt::u64("seeds", args.seeds), bench::threads_field(threads)});
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
-    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "seeds") {
-      args.seeds = std::stoull(value);
-    } else if (key == "threads") {
-      args.threads = std::max(
-          2u, static_cast<std::uint32_t>(std::stoul(value)));
-    } else if (key == "big") {
-      args.big = value != "0";
+    if (keys.take(arg)) continue;
+    if (arg.substr(0, arg.find('=')) == "big") {
+      args.big = arg != "big=0";
     } else {
       args.config_overrides.push_back(arg);
     }
   }
+  args.threads =
+      static_cast<std::uint32_t>(std::max<std::uint64_t>(2, threads));
   return args;
 }
 

@@ -13,16 +13,15 @@
 #include <iostream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 
 int main(int argc, char** argv) {
   using namespace mmr;
   std::uint32_t seeds = 200;
+  const bench::BenchKeys keys({opt::u32("seeds", seeds)});
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else {
+    if (!keys.take(argv[i])) {
       std::cerr << "usage: overload_soak [seeds=N]\n";
       return 2;
     }

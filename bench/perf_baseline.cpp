@@ -55,8 +55,14 @@ struct PerfBenchArgs {
 
 PerfBenchArgs parse(int argc, char** argv) {
   PerfBenchArgs args;
+  std::uint64_t threads = 0;
+  const bench::BenchKeys keys(
+      {bench::u32_list("ports", args.ports, bench::kCount),
+       bench::u32_list("micro_ports", args.micro_ports, bench::kCount),
+       bench::threads_field(threads)});
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (keys.take(arg)) continue;
     const auto eq = arg.find('=');
     const std::string key = eq == std::string::npos ? arg : arg.substr(0, eq);
     const std::string value =
@@ -67,20 +73,6 @@ PerfBenchArgs parse(int argc, char** argv) {
       args.mode = value;
     } else if (key == "arbiters") {
       args.arbiters = bench::split(value, ',');
-    } else if (key == "ports") {
-      args.ports.clear();
-      for (const std::string& part : bench::split(value, ',')) {
-        args.ports.push_back(
-            static_cast<std::uint32_t>(std::stoul(part)));
-      }
-    } else if (key == "micro_ports") {
-      args.micro_ports.clear();
-      for (const std::string& part : bench::split(value, ',')) {
-        args.micro_ports.push_back(
-            static_cast<std::uint32_t>(std::stoul(part)));
-      }
-    } else if (key == "threads") {
-      args.threads = std::stoul(value);
     } else if (key == "alias") {
       for (const std::string& pair : bench::split(value, ',')) {
         const auto colon = pair.find(':');
@@ -97,6 +89,7 @@ PerfBenchArgs parse(int argc, char** argv) {
       std::exit(2);
     }
   }
+  args.threads = static_cast<std::size_t>(threads);
   if (args.mode != "quick" && args.mode != "full" && args.mode != "smoke") {
     std::cerr << "mode must be quick|full|smoke, got '" << args.mode << "'\n";
     std::exit(2);

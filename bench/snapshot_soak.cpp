@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "mmr/core/simulation.hpp"
 #include "mmr/snapshot/manager.hpp"
 #include "mmr/snapshot/signals.hpp"
@@ -57,13 +58,12 @@ int main(int argc, char** argv) {
   std::uint32_t seeds = 6;
   std::string keep;  // move the first checkpoint here (lint smoke artifact)
   std::vector<std::string> arbiters = {"coa", "wfa", "islip", "pim"};
+  const bench::BenchKeys keys(
+      {opt::u32("seeds", seeds), opt::text("keep", keep)});
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("seeds=", 0) == 0) {
-      seeds = static_cast<std::uint32_t>(std::stoul(arg.substr(6)));
-    } else if (arg.rfind("keep=", 0) == 0) {
-      keep = arg.substr(5);
-    } else if (arg.rfind("arbiters=", 0) == 0) {
+    if (keys.take(arg)) continue;
+    if (arg.rfind("arbiters=", 0) == 0) {
       arbiters.clear();
       std::string rest = arg.substr(9);
       std::size_t pos = 0;

@@ -6,6 +6,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "mmr/sim/rng.hpp"
 #include "mmr/sim/table.hpp"
 #include "mmr/traffic/mpeg.hpp"
@@ -14,11 +15,9 @@ int main(int argc, char** argv) {
   using namespace mmr;
   std::uint32_t gops = 40;  // long enough for stable extremes
   std::uint64_t seed = 0x5EED;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("gops=", 0) == 0) gops = static_cast<std::uint32_t>(std::stoul(arg.substr(5)));
-    if (arg.rfind("seed=", 0) == 0) seed = std::stoull(arg.substr(5));
-  }
+  const bench::BenchKeys keys(
+      {opt::u32("gops", gops, bench::kCount), opt::u64("seed", seed)});
+  for (int i = 1; i < argc; ++i) (void)keys.take(argv[i]);
 
   std::cout << "==== Table 1: MPEG-2 video sequence statistics ====\n";
   std::cout << "synthetic traces, " << gops << " GOPs ("

@@ -49,6 +49,9 @@ expect_error drop ./build/examples/cluster_ring fault=drop:nan
 expect_error fault= ./build/examples/quickstart fault=drop:0.5,down:0:10:100000
 expect_error loads ./build/bench/fig5_cbr_delay loads=abc
 expect_error ports ./build/bench/incast_survival ports=abc
+expect_error routers ./build/bench/fault_degradation routers=abc
+expect_error gops ./build/bench/fig6_trace_profile gops=abc
+expect_error seeds ./build/bench/audit_soak seeds=abc
 
 echo
 echo "=== tier-2 soaks (arbiter audit, overload protection, MMU; 200 seeds each) ==="

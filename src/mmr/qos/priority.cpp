@@ -59,4 +59,18 @@ Priority PriorityFunction::operator()(const QosParams& qos,
   return 0;
 }
 
+std::uint64_t PriorityFunction::group_key(const QosParams& qos) const {
+  switch (scheme_) {
+    case PriorityScheme::kSiabp:
+    case PriorityScheme::kStatic:
+      return qos.slots_per_round;
+    case PriorityScheme::kIabp:
+      return std::bit_cast<std::uint64_t>(qos.iat_router_cycles);
+    case PriorityScheme::kFifoAge:
+      return 0;
+  }
+  MMR_ASSERT_MSG(false, "unreachable priority scheme");
+  return 0;
+}
+
 }  // namespace mmr

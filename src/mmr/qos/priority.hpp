@@ -53,6 +53,11 @@ class PriorityFunction {
   [[nodiscard]] Priority operator()(const QosParams& qos,
                                     std::uint64_t age_router_cycles) const;
 
+  /// The constants this scheme reads, as one key: SIABP and Static read
+  /// slots_per_round, IABP the IAT's bits, FIFO-age nothing.  Equal keys
+  /// give equal priorities at every age.
+  [[nodiscard]] std::uint64_t group_key(const QosParams& qos) const;
+
  private:
   PriorityScheme scheme_;
 };

@@ -1,9 +1,7 @@
 #include "mmr/router/link_scheduler.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <functional>
-#include <unordered_map>
+#include <utility>
 
 #include "mmr/router/top_candidates.hpp"
 #include "mmr/sim/assert.hpp"
@@ -27,40 +25,20 @@ LinkScheduler::LinkScheduler(std::uint32_t input_port, std::uint32_t levels,
   MMR_ASSERT(output_of_vc_.size() == qos_of_vc_.size());
 }
 
-namespace {
-
-/// Groups are distinct QosParams bit patterns: equal bits give equal
-/// priorities under every scheme.
-struct QosKey {
-  std::uint32_t slots;
-  std::uint64_t iat_bits;
-  bool operator==(const QosKey&) const = default;
-};
-
-QosKey key_of(const QosParams& qos) {
-  return {qos.slots_per_round,
-          std::bit_cast<std::uint64_t>(qos.iat_router_cycles)};
+std::uint32_t LinkScheduler::group_of(const QosParams& qos) {
+  const std::uint64_t key = priority_.group_key(qos);
+  const auto known =
+      std::find_if(groups_.begin(), groups_.end(),
+                   [key](const Group& group) { return group.key == key; });
+  if (known != groups_.end())
+    return static_cast<std::uint32_t>(known - groups_.begin());
+  groups_.push_back({key, qos});
+  return static_cast<std::uint32_t>(groups_.size() - 1);
 }
-
-struct QosKeyHash {
-  std::size_t operator()(const QosKey& key) const {
-    return std::hash<std::uint64_t>{}(key.iat_bits * 0x9E3779B97F4A7C15ULL ^
-                                      key.slots);
-  }
-};
-
-}  // namespace
 
 void LinkScheduler::bind(VirtualChannelMemory& vcm) {
   MMR_ASSERT(vcm.vcs() == qos_of_vc_.size());
   groups_.clear();
-  std::unordered_map<QosKey, std::uint32_t, QosKeyHash> group_of_key;
-  auto group_of = [&](const QosParams& qos) {
-    const auto [it, fresh] = group_of_key.try_emplace(
-        key_of(qos), static_cast<std::uint32_t>(groups_.size()));
-    if (fresh) groups_.push_back(qos);
-    return it->second;
-  };
   std::vector<std::uint32_t> group_of_vc(qos_of_vc_.size());
   for (std::size_t vc = 0; vc < qos_of_vc_.size(); ++vc)
     group_of_vc[vc] = group_of(qos_of_vc_[vc]);
@@ -73,25 +51,20 @@ void LinkScheduler::set_vc(std::uint32_t vc, std::uint32_t output,
   output_of_vc_[vc] = output;
   qos_of_vc_[vc] = qos;
   // Re-admitted connections bring QoS constants from the same connection
-  // table, so the group table stays as small as its distinct values.
-  auto known =
-      std::find_if(groups_.begin(), groups_.end(), [&qos](const QosParams& g) {
-        return key_of(g) == key_of(qos);
-      });
-  if (known == groups_.end()) known = groups_.insert(groups_.end(), qos);
-  vcm.rebind_group(vc, static_cast<std::uint32_t>(known - groups_.begin()));
+  // table, so the group table stays as small as its distinct keys.
+  vcm.rebind_group(vc, group_of(qos));
 }
 
 void LinkScheduler::check_binding(const VirtualChannelMemory& vcm) const {
   MMR_ASSERT(vcm.vcs() == qos_of_vc_.size());
-  MMR_ASSERT_MSG(vcm.demoted_group() < groups_.size() &&
-                     key_of(groups_[vcm.demoted_group()]) ==
-                         key_of(demoted_qos_),
+  const auto holds = [this](std::uint32_t group, const QosParams& qos) {
+    return group < groups_.size() &&
+           groups_[group].key == priority_.group_key(qos);
+  };
+  MMR_ASSERT_MSG(holds(vcm.demoted_group(), demoted_qos_),
                  "demoted group does not hold the demotion constants");
   for (std::uint32_t vc = 0; vc < vcm.vcs(); ++vc) {
-    MMR_ASSERT_MSG(vcm.bound_group(vc) < groups_.size() &&
-                       key_of(groups_[vcm.bound_group(vc)]) ==
-                           key_of(qos_of_vc_[vc]),
+    MMR_ASSERT_MSG(holds(vcm.bound_group(vc), qos_of_vc_[vc]),
                    "VC bound to a group with other QoS constants");
   }
 }
@@ -119,7 +92,7 @@ void LinkScheduler::select(const VirtualChannelMemory& vcm, Cycle now,
     const std::uint32_t group = it->group;
     MMR_ASSERT_MSG(group < groups_.size(),
                    "VC memory not bound to this scheduler's groups");
-    const QosParams& qos = groups_[group];
+    const QosParams& qos = groups_[group].qos;
     for (; it != ready.end() && it->group == group; ++it) {
       if (eligible != nullptr && !(*eligible)(it->vc)) continue;
       MMR_ASSERT(it->arrived <= now);

@@ -5,10 +5,13 @@
 // SIABP's hardware counters do.
 //
 // Selection reads the VC memory's ready index (DESIGN.md §19): occupied
-// VCs grouped by distinct QoS constants, each group ordered oldest head
-// first.  Every biasing function is monotone in age for fixed constants,
-// so within a group that order already is the priority order, and the
-// exact top-L needs only each group's leading entries.
+// VCs grouped by the QoS constants the priority scheme reads
+// (PriorityFunction::group_key: slots under SIABP and Static, the IAT
+// under IABP, one group under FIFO-age), each group ordered oldest head
+// first.  Equal keys give equal priorities at every age, and every biasing
+// function is monotone in age, so within a group that order already is the
+// priority order, and the exact top-L needs only each group's leading
+// entries.
 #pragma once
 
 #include <functional>
@@ -34,10 +37,10 @@ class LinkScheduler {
   /// networks gate on downstream buffer credit; nullptr = all eligible).
   using Eligibility = std::function<bool(std::uint32_t vc)>;
 
-  /// Builds this port's QoS group table (one group per distinct
-  /// QosParams value, the demotion constants included) and binds `vcm`'s
-  /// VCs to it.  Call once the demotion constants are set, and again after
-  /// a checkpoint load.  O(VCs).
+  /// Builds this port's QoS group table (one group per distinct group
+  /// key, the demotion constants' included) and binds `vcm`'s VCs to it.
+  /// Call once the demotion constants are set, and again after a checkpoint
+  /// load.  O(VCs x groups).
   void bind(VirtualChannelMemory& vcm);
 
   /// Appends this port's candidates (up to `levels`) to `out`: the same
@@ -67,7 +70,8 @@ class LinkScheduler {
 
   [[nodiscard]] std::uint32_t levels() const { return levels_; }
 
-  /// Checks that `vcm`'s group bindings name this scheduler's constants.
+  /// Checks that every VC of `vcm`, and the demoted group, is bound to a
+  /// group whose key is the one the scheme reads from its constants.
   void check_binding(const VirtualChannelMemory& vcm) const;
 
   /// Checkpoint walk: the VC bindings (mutable via set_vc during fault
@@ -83,7 +87,18 @@ class LinkScheduler {
   std::vector<std::uint32_t> output_of_vc_;
   std::vector<QosParams> qos_of_vc_;
   QosParams demoted_qos_{1, 1.0};
-  std::vector<QosParams> groups_;  ///< group -> its QoS constants
+
+  /// One QoS group: its key and the constants of its first member, which
+  /// give every member's priority.
+  struct Group {
+    std::uint64_t key;
+    QosParams qos;
+  };
+  /// The group of `qos`'s key, appended if new.  A linear search: ports
+  /// hold a handful of groups.
+  std::uint32_t group_of(const QosParams& qos);
+
+  std::vector<Group> groups_;
 };
 
 }  // namespace mmr

@@ -7,8 +7,9 @@
 //
 // The memory also keeps the link scheduler's ready index (DESIGN.md §19):
 // its occupied VCs sorted by (QoS group, head arrival, vc), updated only
-// when a VC's head changes.  Group numbers are bound by the link scheduler;
-// the memory only files heads under them.
+// when a VC's head changes.  Group numbers are bound by the link scheduler,
+// one per distinct value of the constants its priority scheme reads; the
+// memory only files heads under them.
 #pragma once
 
 #include <limits>

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "mmr/snapshot/format.hpp"
@@ -245,18 +247,38 @@ QosParams pool_qos(std::uint32_t index) {
   return qos;
 }
 
+/// A VBR-like pool: as when every MPEG trace has its own mean rate, slots
+/// and IAT vary independently, so each slot value comes with many IATs and
+/// each IAT with many slot values (9 x 23 pairs).
+QosParams vbr_pool_qos(std::uint32_t index) {
+  QosParams qos;
+  qos.slots_per_round = 1 + index % 9;
+  qos.iat_router_cycles = 640.0 + 17.0 * (index % 23);
+  return qos;
+}
+
+/// QoS constants drawn as `make(rng() % size)`.
+struct QosPool {
+  QosParams (*make)(std::uint32_t index);
+  std::uint32_t size;
+};
+constexpr QosPool kSmallPool{pool_qos, 6};
+constexpr QosPool kVbrPool{vbr_pool_qos, 9 * 23};
+
 struct DifferentialPort {
   std::uint32_t vcs;
   std::vector<std::uint32_t> output_of_vc;
   std::vector<QosParams> qos_of_vc;
 };
 
-DifferentialPort make_port(std::uint32_t vcs, std::mt19937_64& rng) {
+DifferentialPort make_port(std::uint32_t vcs, std::mt19937_64& rng,
+                           const QosPool& pool = kSmallPool) {
   DifferentialPort port{vcs, std::vector<std::uint32_t>(vcs),
                         std::vector<QosParams>(vcs)};
   for (std::uint32_t vc = 0; vc < vcs; ++vc) {
     port.output_of_vc[vc] = static_cast<std::uint32_t>(rng() % 8);
-    port.qos_of_vc[vc] = pool_qos(static_cast<std::uint32_t>(rng() % 6));
+    port.qos_of_vc[vc] =
+        pool.make(static_cast<std::uint32_t>(rng() % pool.size));
   }
   return port;
 }
@@ -265,15 +287,15 @@ DifferentialPort make_port(std::uint32_t vcs, std::mt19937_64& rng) {
 /// changing eligibility mask; after every step the index-driven selection
 /// must equal the reference scan.
 void run_differential(PriorityScheme scheme, std::uint32_t levels,
-                      std::uint64_t seed) {
+                      std::uint64_t seed, const QosPool& pool) {
   std::mt19937_64 rng(seed);
   const auto vcs = static_cast<std::uint32_t>(8 + rng() % 90);
-  DifferentialPort port = make_port(vcs, rng);
+  DifferentialPort port = make_port(vcs, rng, pool);
   LinkScheduler scheduler(/*input_port=*/0, levels, PriorityFunction(scheme),
                           /*phits_per_flit=*/rng() % 2 == 0 ? 1U : 16U,
                           port.output_of_vc, port.qos_of_vc);
   // Half the runs demote into a group VCs also use, half into its own.
-  scheduler.set_demoted_qos(rng() % 2 == 0 ? pool_qos(0)
+  scheduler.set_demoted_qos(rng() % 2 == 0 ? pool.make(0)
                                            : QosParams{1, 12345.0});
   VirtualChannelMemory vcm(vcs, 1 + static_cast<std::uint32_t>(rng() % 4));
   scheduler.bind(vcm);
@@ -304,7 +326,8 @@ void run_differential(PriorityScheme scheme, std::uint32_t levels,
         break;
       case 8: {  // rebind, often while occupied; sometimes to a new value
         const std::uint32_t output = static_cast<std::uint32_t>(rng() % 8);
-        QosParams qos = pool_qos(static_cast<std::uint32_t>(rng() % 6));
+        QosParams qos =
+            pool.make(static_cast<std::uint32_t>(rng() % pool.size));
         if (rng() % 3 == 0) qos.iat_router_cycles += static_cast<double>(step);
         scheduler.set_vc(vc, output, qos, vcm);
         port.output_of_vc[vc] = output;
@@ -321,21 +344,33 @@ void run_differential(PriorityScheme scheme, std::uint32_t levels,
   }
 }
 
-TEST(LinkSchedulerDifferential, MatchesFullScanForEverySchemeAndLevel) {
+/// run_differential for every scheme and every level count, with seeds
+/// counting up from `seed`.
+void run_every_scheme_and_level(std::uint64_t seed, const QosPool& pool) {
   const PriorityScheme schemes[] = {PriorityScheme::kSiabp,
                                     PriorityScheme::kIabp,
                                     PriorityScheme::kFifoAge,
                                     PriorityScheme::kStatic};
-  std::uint64_t seed = 1;
   for (PriorityScheme scheme : schemes) {
     for (std::uint32_t levels = 1; levels <= kMaxCandidateLevels; ++levels) {
       SCOPED_TRACE(::testing::Message()
                    << "scheme " << static_cast<int>(scheme) << " levels "
                    << levels);
-      run_differential(scheme, levels, seed++);
-      if (HasFailure()) return;
+      run_differential(scheme, levels, seed++, pool);
+      if (::testing::Test::HasFailure()) return;
     }
   }
+}
+
+TEST(LinkSchedulerDifferential, MatchesFullScanForEverySchemeAndLevel) {
+  run_every_scheme_and_level(1, kSmallPool);
+}
+
+TEST(LinkSchedulerDifferential, MatchesFullScanOnVbrLikeQos) {
+  // Groups merge VCs whose unread constants differ (SIABP: many IATs per
+  // slot value; IABP: many slot values per IAT): the merged groups must
+  // still select exactly what the full scan does.
+  run_every_scheme_and_level(1001, kVbrPool);
 }
 
 TEST(LinkSchedulerDifferential, SelectionSurvivesCheckpointLoad) {
@@ -415,6 +450,41 @@ TEST(LinkSchedulerDifferential, SelectionSurvivesCheckpointLoad) {
   churn(restored_scheduler, restored, rng_b, 500);
   EXPECT_EQ(outputs, outputs_a);
   same_now();
+}
+
+TEST(LinkScheduler, GroupsKeyOnTheConstantsTheSchemeReads) {
+  // One group per distinct slot value under SIABP and Static, per distinct
+  // IAT under IABP, and a single group under FIFO-age; the demoted group
+  // counts where its key is not a VC's.
+  std::mt19937_64 rng(7);
+  const DifferentialPort port = make_port(200, rng, kVbrPool);
+  for (const QosParams demoted : {vbr_pool_qos(0), QosParams{97, 12345.0}}) {
+    std::set<std::uint32_t> slots{demoted.slots_per_round};
+    std::set<double> iats{demoted.iat_router_cycles};
+    for (const QosParams& qos : port.qos_of_vc) {
+      slots.insert(qos.slots_per_round);
+      iats.insert(qos.iat_router_cycles);
+    }
+    ASSERT_GT(iats.size(), slots.size());
+    for (const auto& [scheme, expected] :
+         {std::pair{PriorityScheme::kSiabp, slots.size()},
+          std::pair{PriorityScheme::kStatic, slots.size()},
+          std::pair{PriorityScheme::kIabp, iats.size()},
+          std::pair{PriorityScheme::kFifoAge, std::size_t{1}}}) {
+      LinkScheduler scheduler(0, 4, PriorityFunction(scheme), 16,
+                              port.output_of_vc, port.qos_of_vc);
+      scheduler.set_demoted_qos(demoted);
+      VirtualChannelMemory vcm(port.vcs, 2);
+      scheduler.bind(vcm);
+      scheduler.check_binding(vcm);
+      std::set<std::uint32_t> groups{vcm.demoted_group()};
+      for (std::uint32_t vc = 0; vc < port.vcs; ++vc)
+        groups.insert(vcm.bound_group(vc));
+      EXPECT_EQ(groups.size(), expected)
+          << "scheme " << to_string(scheme) << " demoted slots "
+          << demoted.slots_per_round;
+    }
+  }
 }
 
 TEST(LinkSchedulerDifferential, MoreThan256DistinctQosValuesStayDistinct) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace mmr {
 namespace {
 
@@ -141,6 +143,32 @@ TEST(PriorityFunction, SiabpApproximatesIabpOrdering) {
   // in both schemes (starvation freedom).
   EXPECT_GT(siabp(low, 1ull << 30), siabp(high, 1));
   EXPECT_GT(iabp(low, 1ull << 30), iabp(high, 1));
+}
+
+TEST(PriorityFunction, GroupKeysMatchExactlyWhenPrioritiesDo) {
+  // The link scheduler merges VCs with equal group keys into one ready-index
+  // group (DESIGN.md §19): exact only if equal keys rank alike at every
+  // age, and useful only if differing keys are constants the scheme reads.
+  const std::vector<QosParams> pool = {{1, 37500.0}, {1, 700.0}, {3, 700.0},
+                                       {3, 233.5},   {24, 43.0}, {24, 37500.0}};
+  const std::vector<std::uint64_t> ages = {
+      0, 1, 2, 3, 255, 256, 4096, 1ULL << 20, 1ULL << 40, 1ULL << 62};
+  for (PriorityScheme scheme :
+       {PriorityScheme::kSiabp, PriorityScheme::kIabp,
+        PriorityScheme::kFifoAge, PriorityScheme::kStatic}) {
+    const PriorityFunction priority(scheme);
+    for (const QosParams& a : pool) {
+      for (const QosParams& b : pool) {
+        bool alike = true;
+        for (const std::uint64_t age : ages)
+          alike = alike && priority(a, age) == priority(b, age);
+        EXPECT_EQ(priority.group_key(a) == priority.group_key(b), alike)
+            << "scheme " << to_string(scheme) << " a={" << a.slots_per_round
+            << ", " << a.iat_router_cycles << "} b={" << b.slots_per_round
+            << ", " << b.iat_router_cycles << "}";
+      }
+    }
+  }
 }
 
 TEST(SiabpPriorityDeath, RejectsZeroSlots) {
